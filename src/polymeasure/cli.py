@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .core import SizeGuardError, label_text, parse_label, set_default_guard
+from .core import SizeGuardError, guard_value, label_text, parse_label, set_default_guard
 from .functor import apply_to_set, validate_functor
 from .fixpoints import (
     INF,
@@ -383,6 +383,7 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     guard = args.guard if args.guard is not None else os.environ.get("POLYMEASURE_GUARD")
+    previous_guard = guard_value()
     if guard is not None:
         set_default_guard(int(guard))
     rep = Report()
@@ -392,6 +393,8 @@ def run(argv: list[str]) -> int:
     except (WorkspaceError, SizeGuardError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return ERROR
+    finally:
+        set_default_guard(previous_guard)
     text = rep.render()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -23,6 +23,7 @@ from .core import (
     UNIT,
     carrier,
     check_guard,
+    classify_map,
     label_key,
     label_text,
 )
@@ -320,7 +321,7 @@ def lambek_check(result: AdamekResult, hom_size: int = 3, guard: int | None = No
     if not result.stabilized or result.direction != "forward":
         raise ValueError("lambek_check needs a stabilized forward adamek run")
     fix: Algebra = result.fixpoint
-    inj, surj = _classify(fix.structure)
+    inj, surj = classify_map(fix.structure)
     if not (inj and surj):
         return False, ("structure map not bijective", fix.structure)
     for other in enumerate_algebras(fix.functor, hom_size, guard=guard):
@@ -330,11 +331,6 @@ def lambek_check(result: AdamekResult, hom_size: int = 3, guard: int | None = No
     return True, None
 
 
-def _classify(f: Map):
-    image = set(f.images)
-    return len(image) == len(f.images), len(image) == len(f.cod)
-
-
 # ---------------------------------------------------------------------------
 # Preinitial / subterminal recognition
 # ---------------------------------------------------------------------------
@@ -342,22 +338,29 @@ def _classify(f: Map):
 def reachable_set(a: Algebra) -> frozenset:
     """Least subset closed under the structure map (images of F applied to it)."""
     reached: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for e in a.structure.dom:
+    pending = list(zip(a.structure.dom.elements, a.structure.images))
+    while pending:
+        blocked = []
+        for e, img in pending:
             if all(child in reached for child in fel_args(e)):
-                img = a.structure(e)
-                if img not in reached:
-                    reached.add(img)
-                    changed = True
+                reached.add(img)
+            else:
+                blocked.append((e, img))
+        if len(blocked) == len(pending):
+            break
+        pending = blocked
     return frozenset(reached)
 
 
 def is_preinitial(a: Algebra) -> bool:
     """An algebra is preinitial when the unique map from the initial algebra
-    is surjective, i.e. every element is reachable from the constants."""
-    return len(reachable_set(a)) == len(a.carrier)
+    is surjective, i.e. every element is reachable from the constants.
+    The answer is cached on the algebra."""
+    cached = a.__dict__.get("_preinitial")
+    if cached is None:
+        cached = len(reachable_set(a)) == len(a.carrier)
+        a.__dict__["_preinitial"] = cached
+    return cached
 
 
 def bisim_partition(c: Coalgebra) -> tuple:

@@ -64,7 +64,8 @@ __all__ = [
     "bounded_tree_functor",
     "automaton_functor",
     "compose_functors",
-    "BUILTIN_FUNCTORS",
+    "has_maybe_shape",
+    "zip_plan",
 ]
 
 
@@ -157,6 +158,24 @@ class PolyFunctor:
 
     def __repr__(self) -> str:
         return f"PolyFunctor({self.name})"
+
+
+def zip_plan(functor: PolyFunctor, c: Label, d: Label) -> tuple:
+    """(c * d, ((i, j), ...)): for each element of fiber(c * d), in order, the
+    indices in fiber(c) and fiber(d) of the pair its zip map sends it to.
+    Cached on the functor."""
+    plans = functor.__dict__.setdefault("_zip_plans", {})
+    plan = plans.get((c, d))
+    if plan is None:
+        composite = functor.mul(c, d)
+        lam = functor.zip_pair(c, d)
+        fiber_c, fiber_d = functor.fiber(c), functor.fiber(d)
+        pairs = []
+        for w in functor.fiber(composite):
+            u, v = lam(w)
+            pairs.append((fiber_c.index(u), fiber_d.index(v)))
+        plan = plans[(c, d)] = (composite, tuple(pairs))
+    return plan
 
 
 def _mk_functor(name, monoid: PositionMonoid, fiber_of, zip_of) -> PolyFunctor:
@@ -396,6 +415,18 @@ def maybe_functor() -> PolyFunctor:
     )
 
 
+def has_maybe_shape(functor: PolyFunctor) -> bool:
+    """Whether the functor has the positions, fibers and zips of ``maybe_functor()``,
+    whatever its name."""
+    cached = functor.__dict__.get("_maybe_shape")
+    if cached is None:
+        maybe = maybe_functor()
+        cached = (functor.positions, functor.fibers, functor.zips) == (
+            maybe.positions, maybe.fibers, maybe.zips)
+        functor.__dict__["_maybe_shape"] = cached
+    return cached
+
+
 def _zero_adjoined(monoid: PositionMonoid) -> PositionMonoid:
     """Positions M + {nil} with nil absorbing; the encoding of 1 + M x (-)^k functors."""
     if ZERO_POSITION in monoid.carrier:
@@ -526,10 +557,3 @@ def compose_functors(outer: PolyFunctor, inner: PolyFunctor, name: str | None = 
         return ((u1, z1), (u2, z2))
 
     return _mk_functor(name or f"{outer.name}.{inner.name}", mon, fiber_of, zip_of)
-
-
-BUILTIN_FUNCTORS = {
-    "unit": unit_functor,
-    "identity": identity_functor,
-    "maybe": maybe_functor,
-}

@@ -16,9 +16,40 @@ Three enumeration strategies are provided and must agree:
                     greatest fixed point, then consistent choices.
 
 ``forced_measuring`` additionally computes the unique candidate table for a
-preinitial A by demand-driven recursion; it is exact whenever the recursion
-cannot loop (acyclic C, or values in a lazy initial algebra, where cyclic
-constraints have no solution).
+preinitial A by demand; it is exact whenever the demand cannot loop (acyclic
+C, or values in a lazy initial algebra, where cyclic constraints have no
+solution).
+
+The square kernel
+-----------------
+``measuring_violations``, ``is_measuring``, ``forced_measuring`` and the
+forced branch of ``measuring_set`` all check squares through one kernel that
+works on integers.  A pair (C, A) is compiled once into a ``_SquarePlan``:
+
+* each state's position id and child indices,
+* the F(A) cells in runs of one position, each run holding A's structure
+  images ``alpha[k]`` and one column of argument indices per fiber element,
+* one zip plan per (state position, cell position) pair:
+  ``(composite position id, ((u, v), ...))``, the fiber indices that the
+  nabla of the two positions pairs up (``functor.zip_plan``, cached on the
+  functor),
+* built on first forced use: A's preferred decomposition of each element
+  and the demand order of the forced cells (c, a), or the cyclic cell the
+  demand runs into.  The order depends on C and A only.
+
+Memory is O(|C| + |A| + |F(A)| * arity + |positions|^2) plus the demand
+order's |C| * |A| ints; nothing is stored per (c, F(A)-cell) square.  The
+plan is cached on the algebra's ``__dict__`` (as ``Carrier`` caches its
+index) together with the coalgebra it was compiled against, and is reused
+while C is the same object; checking A against another coalgebra replaces
+it, and it lives as long as A.
+
+Per target B nothing is cached.  A finite B is indexed once per call into a
+dict from ``(composite id, *child indices)`` to the index of the image; a
+lazy B is the same dict filled on a miss by ``B.apply``, with its values
+interned to ids.  The kernel then fills the forced cells in demand order and
+scans every (c, F(A)-cell) square in canonical order, so witnesses come out
+in the order of the plain definition.
 """
 
 from __future__ import annotations
@@ -45,6 +76,8 @@ from .functor import (
     fel_args,
     fel_pos,
     felement,
+    has_maybe_shape,
+    zip_plan,
 )
 from .fixpoints import (
     Algebra,
@@ -145,20 +178,205 @@ def _combine_value(functor: PolyFunctor, phi, c: Label, chi_c, fe: Label, b):
     return _beta(b, composite, tuple(children))
 
 
+# ---------------------------------------------------------------------------
+# The square kernel (see the module docstring)
+# ---------------------------------------------------------------------------
+
+class _SquarePlan:
+    """The pair (C, A) compiled to integer arrays."""
+
+    def __init__(self, C: Coalgebra, A: Algebra):
+        functor = A.functor
+        # A itself is not kept: A holds the plan, and a cycle would outlive A
+        self.C, self.a_carrier, self.cells = C, A.carrier, A.structure.dom.elements
+        self.positions = functor.positions.carrier.elements
+        self.pos_id = pos_id = {p: i for i, p in enumerate(self.positions)}
+        c_index, a_index = C.carrier._index, A.carrier._index
+        self.state_pos = [pos_id[fel_pos(e)] for e in C.structure.images]
+        self.state_kids = [tuple(c_index[x] for x in fel_args(e)) for e in C.structure.images]
+        cells = self.cells
+        cell_pos = [pos_id[fel_pos(fe)] for fe in cells]
+        alpha = [a_index[x] for x in A.structure.images]
+        self.runs = []  # (position id, first cell, alphas, argument columns)
+        start = 0
+        for k in range(1, len(cells) + 1):
+            if k < len(cells) and cell_pos[k] == cell_pos[start]:
+                continue
+            args = [tuple(a_index[x] for x in fel_args(fe)) for fe in cells[start:k]]
+            self.runs.append((cell_pos[start], start, tuple(alpha[start:k]), tuple(zip(*args))))
+            start = k
+        self.zip_rows = [None] * len(self.positions)  # [p][q] -> (composite id, pairs)
+        for p in set(self.state_pos):
+            self.zip_rows[p] = [(pos_id[comp], pairs) for comp, pairs in
+                                (zip_plan(functor, self.positions[p], d) for d in self.positions)]
+        self._demand = None
+
+    def demand(self) -> tuple:
+        """(order, cycle).  ``order`` lists the cells c * |A| + a in the
+        order in which a depth-first demand, started from each cell in
+        canonical order, completes them; ``cycle`` is the (c, a) that the
+        demand reached again while still computing it, or None.
+
+        The value at (c, a) is forced through a's preferred decomposition,
+        its first F(A)-cell; elements without one are leaves of the demand.
+        """
+        if self._demand is None:
+            preferred: dict = {}
+            for q, _, alphas, cols in self.runs:
+                for i, a in enumerate(alphas):
+                    if a not in preferred:
+                        preferred[a] = (q, tuple(col[i] for col in cols))
+            self.preferred = [preferred.get(a) for a in range(len(self.a_carrier))]
+            self._demand = self._demand_order()
+        return self._demand
+
+    def _demand_order(self) -> tuple:
+        n_a, preferred = len(self.a_carrier), self.preferred
+
+        def children(cell):
+            c, a = divmod(cell, n_a)
+            q, args = preferred[a]
+            _, pairs = self.zip_rows[self.state_pos[c]][q]
+            kids = self.state_kids[c]
+            return iter([kids[u] * n_a + args[v] for u, v in pairs])
+
+        order: list = []
+        status = bytearray(len(self.state_pos) * n_a)  # 0 new, 1 open, 2 done
+        for root in range(len(status)):
+            stack = [(None, iter([root]))]
+            while stack:
+                cell, todo = stack[-1]
+                child = next(todo, None)
+                if child is None:
+                    stack.pop()
+                    if cell is not None:
+                        status[cell] = 2
+                        order.append(cell)
+                elif status[child] == 1:
+                    return order, divmod(child, n_a)
+                elif status[child] == 0:
+                    if preferred[child % n_a] is None:
+                        status[child] = 2
+                        order.append(child)
+                    else:
+                        status[child] = 1
+                        stack.append((child, children(child)))
+        return order, None
+
+    def fill(self, order: list, beta, filler) -> list:
+        """Rows of value ids, one per state, computed in demand order."""
+        n_a = len(self.a_carrier)
+        rows = [[None] * n_a for _ in self.state_pos]
+        preferred, state_pos, state_kids = self.preferred, self.state_pos, self.state_kids
+        for cell in order:
+            c, a = divmod(cell, n_a)
+            if preferred[a] is None:
+                rows[c][a] = filler
+                continue
+            q, args = preferred[a]
+            comp, pairs = self.zip_rows[state_pos[c]][q]
+            kids = state_kids[c]
+            rows[c][a] = beta[(comp, *[rows[kids[u]][args[v]] for u, v in pairs])]
+        return rows
+
+    def rows(self, ids) -> list:
+        """A table of value ids in canonical (c, a) order, cut into rows."""
+        n_a = len(self.a_carrier)
+        return [ids[c * n_a:(c + 1) * n_a] for c in range(len(self.state_pos))]
+
+    def scan(self, rows: list, beta, first_only: bool) -> list:
+        """The failing squares (c, k) in canonical order."""
+        out = []
+        for c, row in enumerate(rows):
+            kids, zip_row = self.state_kids[c], self.zip_rows[self.state_pos[c]]
+            for q, start, alphas, cols in self.runs:
+                comp, pairs = zip_row[q]
+                if not pairs:
+                    rhs = beta[(comp,)]
+                    bad = [i for i, a in enumerate(alphas) if row[a] != rhs]
+                elif len(pairs) == 1:
+                    (u, v), = pairs
+                    r0 = rows[kids[u]]
+                    bad = [i for i, (a, x) in enumerate(zip(alphas, cols[v]))
+                           if row[a] != beta[(comp, r0[x])]]
+                elif len(pairs) == 2:
+                    (u0, v0), (u1, v1) = pairs
+                    r0, r1 = rows[kids[u0]], rows[kids[u1]]
+                    bad = [i for i, (a, x, y) in enumerate(zip(alphas, cols[v0], cols[v1]))
+                           if row[a] != beta[(comp, r0[x], r1[y])]]
+                else:
+                    kid_rows = [rows[kids[u]] for u, _ in pairs]
+                    kid_cols = [cols[v] for _, v in pairs]
+                    bad = [i for i, a in enumerate(alphas)
+                           if row[a] != beta[(comp, *[r[col[i]] for r, col in
+                                                      zip(kid_rows, kid_cols)])]]
+                if bad:
+                    if first_only:
+                        return [(c, start + bad[0])]
+                    out.extend((c, start + i) for i in bad)
+        return out
+
+
+def _square_plan(C: Coalgebra, A: Algebra) -> _SquarePlan:
+    plan = A.__dict__.get("_square_plan")
+    if plan is None or plan.C is not C:
+        plan = _SquarePlan(C, A)
+        A.__dict__["_square_plan"] = plan
+    return plan
+
+
+class _LazyBeta(dict):
+    """beta of a lazy algebra on interned value ids, applied on a miss."""
+
+    def __init__(self, B: LazyAlgebra, positions: tuple):
+        super().__init__()
+        self.B, self.positions = B, positions
+        self.values: list = []
+        self.ids: dict = {}
+
+    def encode(self, value) -> int:
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+    def __missing__(self, key):
+        values = self.values
+        i = self.encode(self.B.apply(self.positions[key[0]], tuple(values[j] for j in key[1:])))
+        self[key] = i
+        return i
+
+
+def _target(plan: _SquarePlan, B) -> tuple:
+    """(beta, encode, values): B's structure on value ids, the id of a value,
+    and the value of an id."""
+    if isinstance(B, LazyAlgebra):
+        beta = _LazyBeta(B, plan.positions)
+        return beta, beta.encode, beta.values
+    b_index, pos_id = B.carrier._index, plan.pos_id
+    beta = {(pos_id[fel_pos(fe)], *[b_index[x] for x in fel_args(fe)]): b_index[img]
+            for fe, img in zip(B.structure.dom, B.structure.images)}
+    return beta, b_index.__getitem__, B.carrier.elements
+
+
+def _entries(plan: _SquarePlan, rows: list, values) -> tuple:
+    a_elems = plan.a_carrier.elements
+    return tuple(((c, a), values[v]) for c, row in zip(plan.C.carrier, rows)
+                 for a, v in zip(a_elems, row))
+
+
+def _witnesses(plan: _SquarePlan, bad: list) -> list:
+    states, cells = plan.C.carrier.elements, plan.cells
+    return [(states[c], cells[k]) for c, k in bad]
+
+
 def measuring_violations(m: Measuring, first_only: bool = False) -> list:
     """Witnesses (c, F(A)-element) where the measuring square fails."""
-    functor = m.A.functor
-    out = []
-    for c in m.C.carrier:
-        chi_c = coalg_out(m.C, c)
-        for fe in m.A.structure.dom:
-            lhs = m.value(c, m.A.structure(fe))
-            rhs = _combine_value(functor, m.value, c, chi_c, fe, m.B)
-            if lhs != rhs:
-                out.append((c, fe))
-                if first_only:
-                    return out
-    return out
+    plan = _square_plan(m.C, m.A)
+    beta, encode, _ = _target(plan, m.B)
+    rows = plan.rows([encode(v) for _, v in m.entries])
+    return _witnesses(plan, plan.scan(rows, beta, first_only))
 
 
 def is_measuring(m: Measuring) -> bool:
@@ -227,11 +445,12 @@ def _enumerate_brute(C: Coalgebra, A: Algebra, B: Algebra, guard) -> list[Measur
         count,
         guard,
     )
+    plan = _square_plan(C, A)
+    beta, _, values = _target(plan, B)
     out = []
-    for values in itertools.product(B.carrier.elements, repeat=len(cells)):
-        m = Measuring(C, A, B, tuple(zip(cells, values)))
-        if is_measuring(m):
-            out.append(m)
+    for ids in itertools.product(range(len(values)), repeat=len(cells)):
+        if not plan.scan(plan.rows(ids), beta, first_only=True):
+            out.append(Measuring(C, A, B, tuple(zip(cells, (values[i] for i in ids)))))
     return out
 
 
@@ -363,6 +582,9 @@ class ForcedFailure(NamedTuple):
 
 
 def _is_acyclic(C: Coalgebra) -> bool:
+    cached = C.__dict__.get("_acyclic")
+    if cached is not None:
+        return cached
     color = {s: 0 for s in C.carrier}
 
     def visit(s) -> bool:
@@ -375,7 +597,9 @@ def _is_acyclic(C: Coalgebra) -> bool:
         color[s] = 2
         return True
 
-    return all(color[s] != 0 or visit(s) for s in C.carrier)
+    result = all(color[s] != 0 or visit(s) for s in C.carrier)
+    C.__dict__["_acyclic"] = result
+    return result
 
 
 def forced_measuring(C: Coalgebra, A: Algebra, B) -> Measuring | ForcedFailure:
@@ -394,47 +618,24 @@ def forced_measuring(C: Coalgebra, A: Algebra, B) -> Measuring | ForcedFailure:
             "forced_measuring into a finite codomain needs an acyclic coalgebra; "
             "use enumerate_measurings instead"
         )
-    functor = A.functor
-    preferred: dict = {}
-    for fe in A.structure.dom:
-        img = A.structure(fe)
-        if img not in preferred:
-            preferred[img] = fe
+    return _forced(C, A, B)
 
-    memo: dict = {}
-    in_progress: set = set()
 
-    def value(c: Label, a: Label):
-        key = (c, a)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            raise _Cyclic(c, a)
-        in_progress.add(key)
-        try:
-            fe = preferred[a]
-            result = _combine_value(functor, value, c, coalg_out(C, c), fe, B)
-        finally:
-            in_progress.discard(key)
-        memo[key] = result
-        return result
-
-    try:
-        entries = _canonical_entries(C, A, lambda c, a: value(c, a))
-    except _Cyclic as cyc:
-        return ForcedFailure(cyc.state, cyc.element, "cyclic demand has no well-founded value")
-    m = Measuring(C, A, B, entries)
-    bad = measuring_violations(m, first_only=True)
+def _forced(C: Coalgebra, A: Algebra, B, filler: Label | None = None) -> Measuring | ForcedFailure:
+    """The table forced through A's preferred decompositions, with ``filler``
+    at the elements that have none, checked square by square."""
+    plan = _square_plan(C, A)
+    order, cycle = plan.demand()
+    if cycle is not None:
+        return ForcedFailure(C.carrier.elements[cycle[0]], A.carrier.elements[cycle[1]],
+                             "cyclic demand has no well-founded value")
+    beta, encode, values = _target(plan, B)
+    rows = plan.fill(order, beta, None if filler is None else encode(filler))
+    bad = plan.scan(rows, beta, first_only=True)
     if bad:
-        return ForcedFailure(bad[0][0], bad[0][1], "forced table violates the measuring square")
-    return m
-
-
-class _Cyclic(Exception):
-    def __init__(self, state, element):
-        super().__init__()
-        self.state = state
-        self.element = element
+        (c, fe), = _witnesses(plan, bad)
+        return ForcedFailure(c, fe, "forced table violates the measuring square")
+    return Measuring(C, A, B, _entries(plan, rows, values))
 
 
 def _maybe_stage_rows(A: Algebra, B, max_stage: int):
@@ -469,12 +670,14 @@ def _maybe_stage_rows(A: Algebra, B, max_stage: int):
 def maybe_measuring_set(C: Coalgebra, A: Algebra, B) -> list[Measuring]:
     """mu(C, A, B) for the 1 + X functor with A preinitial, via stage rows.
 
-    The row at a state of finite index j is the forced stage row f_j; rows at
-    infinite-index states are forced to the stationary row, which is a total
-    homomorphism row if one exists.  (Iterating the stage step |A| times from
-    any row is stage-independent, so cyclic constraints pin the same row.)
+    The row at a state of finite index j is the forced stage row f_j.  Every
+    row at an infinite-index state is the row of its child pushed through one
+    stage step, and |A| steps from any row give the same row on a preinitial
+    A, so those rows all equal the unique homomorphism A -> B, and there is
+    no measuring when that homomorphism does not exist.  (The stage rows from
+    f_0 need not reach it: on a cyclic A they can fail at some stage first.)
     """
-    from .fixpoints import maybe_index, INF
+    from .fixpoints import maybe_index, INF, unique_hom_from_preinitial
 
     indices = {c: maybe_index(C, c) for c in C.carrier}
     finite = [i for i in indices.values() if i is not INF]
@@ -485,12 +688,10 @@ def maybe_measuring_set(C: Coalgebra, A: Algebra, B) -> list[Measuring]:
         return []
     inf_row = None
     if need_inf:
-        probe, probe_failed = _maybe_stage_rows(A, B, max(len(A.carrier), max_finite) + 1)
-        if probe_failed is not None:
+        hom = unique_hom_from_preinitial(A, B)
+        if hom is None:
             return []
-        inf_row = probe[-1]
-        if probe[-2] != inf_row:
-            return []  # the stage rows never become stationary, so no total row
+        inf_row = hom.table
     table = {}
     for c in C.carrier:
         row = inf_row if indices[c] is INF else rows[indices[c]]
@@ -507,7 +708,7 @@ def measuring_set(C: Coalgebra, A: Algebra, B, guard: int | None = None) -> list
     if isinstance(B, LazyAlgebra):
         result = forced_measuring(C, A, B)
         return [result] if isinstance(result, Measuring) else []
-    if A.functor.name == "maybe" and is_preinitial(A):
+    if is_preinitial(A) and has_maybe_shape(A.functor):
         return maybe_measuring_set(C, A, B)
     if is_preinitial(A) and _is_acyclic(C):
         result = forced_measuring(C, A, B)

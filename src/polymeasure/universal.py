@@ -28,7 +28,7 @@ from .core import (
     label_key,
     mk_hom,
 )
-from .functor import PolyFunctor, apply_to_map, apply_to_set, fel_args, fel_pos
+from .functor import PolyFunctor, apply_to_map, apply_to_set, fel_args, fel_pos, has_maybe_shape
 from .fixpoints import (
     Algebra,
     Coalgebra,
@@ -50,9 +50,9 @@ from .fixpoints import (
 from .measuring import (
     ForcedFailure,
     Measuring,
+    _forced,
     find_coalgebra_homs,
     forced_measuring,
-    is_measuring,
     measuring_from_fn,
     measuring_set,
     unit_coalgebra,
@@ -219,7 +219,7 @@ def truncation_family(functor: PolyFunctor, max_level: int,
 
 
 def _default_family(a: Algebra) -> list[SubterminalDescriptor]:
-    if a.functor.name == "maybe":
+    if has_maybe_shape(a.functor):
         return maybe_subterminal_family(len(a.carrier) + 1)
     max_depth = max(
         (_term_depth_bound(t) for t in witness_terms(a).values()), default=0
@@ -810,19 +810,14 @@ def map_to_dual_check(a: Algebra, c_coalg: Coalgebra) -> DualMapReport:
         }
         return DualMapReport(True, result, curried, [], None)
     # Non-preinitial: fill undecomposable elements two ways and validate.
-    preferred = {}
-    for fe in a.structure.dom:
-        preferred.setdefault(a.structure(fe), fe)
-    free = [x for x in a.carrier if x not in preferred]
+    images = set(a.structure.images)
+    free = [x for x in a.carrier if x not in images]
     zero = _some_closed_value(target)
     witnesses = []
     for filler in (zero, target.apply(_unary_position(a.functor), (zero,))
                    if _unary_position(a.functor) else zero):
-        table = _forced_with_filler(c_coalg, a, target, preferred, filler)
-        if table is None:
-            continue
-        m = measuring_from_fn(c_coalg, a, target, lambda c, x: table[(c, x)])
-        if is_measuring(m):
+        m = _forced(c_coalg, a, target, filler)
+        if isinstance(m, Measuring):
             witnesses.append(m)
     distinct = []
     for w in witnesses:
@@ -849,36 +844,3 @@ def _unary_position(functor: PolyFunctor):
         if functor.arity(pos) == 1:
             return pos
     return None
-
-
-def _forced_with_filler(C: Coalgebra, A: Algebra, B: LazyAlgebra, preferred, filler):
-    from .measuring import _combine_value  # shared square-evaluation helper
-
-    memo: dict = {}
-    in_progress: set = set()
-
-    class Cyclic(Exception):
-        pass
-
-    def value(c, x):
-        key = (c, x)
-        if key in memo:
-            return memo[key]
-        if x not in preferred:
-            memo[key] = filler
-            return filler
-        if key in in_progress:
-            raise Cyclic
-        in_progress.add(key)
-        try:
-            fe = preferred[x]
-            result = _combine_value(A.functor, value, c, coalg_out(C, c), fe, B)
-        finally:
-            in_progress.discard(key)
-        memo[key] = result
-        return result
-
-    try:
-        return {(c, x): value(c, x) for c in C.carrier for x in A.carrier}
-    except Cyclic:
-        return None

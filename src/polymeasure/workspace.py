@@ -309,9 +309,17 @@ def _build_measuring(name: str, entries: dict, lineno: int, ws: Workspace) -> Me
     b_alg = ws.algebra(entries["B"][0])
     table = dict(_parse_pairs(entries["table"][0], entries["table"][1]))
     try:
-        return measuring_from_fn(c_coalg, a_alg, b_alg, lambda c, a: table[(c, a)])
+        m = measuring_from_fn(c_coalg, a_alg, b_alg, lambda c, a: table[(c, a)])
     except KeyError as exc:
         raise WorkspaceError(f"measuring {name!r}: missing cell {exc}", entries["table"][1])
+    for (c, a), value in m.entries:
+        if value not in b_alg.carrier:
+            raise WorkspaceError(
+                f"measuring {name!r}: cell ({label_text(c)},{label_text(a)}) has value "
+                f"{label_text(value)} outside the carrier of {entries['B'][0]}",
+                entries["table"][1],
+            )
+    return m
 
 
 def parse_workspace(text: str) -> Workspace:

@@ -138,9 +138,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert status == 2
         assert "size guard" in err
-        from polymeasure.core import set_default_guard, DEFAULT_SIZE_GUARD
+        from polymeasure.core import guard_value, DEFAULT_SIZE_GUARD
 
-        set_default_guard(DEFAULT_SIZE_GUARD)
+        assert guard_value() == DEFAULT_SIZE_GUARD
+
+    def test_measuring_cell_outside_codomain_is_a_parse_error(self, tmp_path, capsys):
+        import pathlib
+
+        shipped = pathlib.Path(__file__).resolve().parent.parent / "workspaces" / "list_type.pmw"
+        text = shipped.read_text()
+        assert "((0),(0))->(0) " in text
+        bad = tmp_path / "list_type.pmw"
+        bad.write_text(text.replace("((0),(0))->(0) ", "((0),(0))->(0,0,0,0,0) "))
+        status = run([str(bad), "check-measuring", "--measuring", "phi"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "error:" in err and "outside the carrier of lists4" in err
 
     def test_reports_are_deterministic(self, ws_path, capsys):
         outputs = []

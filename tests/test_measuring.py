@@ -4,13 +4,17 @@ import pytest
 
 from polymeasure.core import STAR, carrier
 from polymeasure.functor import (
+    PolyFunctor,
+    _mk_functor,
     automaton_functor,
     bintree_functor,
     bounded_tree_functor,
     const_monoid_functor,
     identity_functor,
     list_functor,
+    has_maybe_shape,
     maybe_functor,
+    monoid_from_op,
     trivial_monoid,
     unit_functor,
     z_mod,
@@ -139,6 +143,32 @@ class TestStrategiesAgree:
             staged = maybe_measuring_set(c, a, b)
             brute = enumerate_measurings(c, a, b, "propagate")
             assert [m.entries for m in staged] == [m.entries for m in brute]
+
+    def test_maybe_stage_path_on_a_cyclic_algebra(self):
+        # Succ flips Z/2: the stage rows from f_0 fail at stage 1, yet the
+        # identity is a total homomorphism, so an infinite-index state measures
+        functor = maybe_functor()
+        a = algebra(functor, range(2), lambda pos, args: 0 if pos == "Zero" else 1 - args[0])
+        loop = coalgebra(functor, ["s"], lambda s: ("Succ", ("s",)))
+        expected = [m.entries for m in enumerate_measurings(loop, a, a, "brute")]
+        assert len(expected) == 1
+        assert [m.entries for m in maybe_measuring_set(loop, a, a)] == expected
+
+    def test_fast_path_is_chosen_by_structure_not_name(self):
+        # named "maybe" but with other position labels: not the 1 + X fast path
+        mon = monoid_from_op(("Z", "S"), lambda x, y: "S" if x == y == "S" else "Z", "S")
+        impostor = _mk_functor("maybe", mon, lambda p: carrier((0,) if p == "S" else ()),
+                               lambda x, y, w: (w, w))
+        a = algebra(impostor, range(2), lambda pos, args: 0 if pos == "Z" else 1)
+        c = coalgebra(impostor, range(2), lambda i: ("Z", ()) if i == 0 else ("S", (0,)))
+        assert not has_maybe_shape(impostor)
+        expected = [m.entries for m in enumerate_measurings(c, a, a, "propagate")]
+        assert len(expected) == 1
+        assert [m.entries for m in measuring_set(c, a, a)] == expected
+        # the 1 + X shape under another name takes the fast path
+        renamed = PolyFunctor("nat", *(getattr(maybe_functor(), f)
+                                       for f in ("positions", "fibers", "zips")))
+        assert has_maybe_shape(renamed)
 
     def test_forced_agrees_on_acyclic_instances(self, rng):
         lf = list_functor(z_mod(2))
