@@ -79,10 +79,6 @@ def _fmt_index(i):
     return "inf" if i == INF else str(i)
 
 
-def _term_text(t) -> str:
-    return label_text(t)
-
-
 def cmd_validate_functor(ws, args, rep: Report):
     functor = ws.functor(args.functor)
     rep.line(f"functor {args.functor}: {len(functor.positions.carrier)} positions")
@@ -118,7 +114,7 @@ def cmd_unfold(ws, args, rep: Report):
     rep.line(f"total = {behavior.total}")
     if behavior.index is not None:
         rep.line(f"index = {_fmt_index(behavior.index)}")
-    rep.line(f"behavior = {_term_text(behavior.tree)}")
+    rep.line(f"behavior = {label_text(behavior.tree)}")
 
 
 def cmd_adamek(ws, args, rep: Report):

@@ -77,7 +77,6 @@ __all__ = [
     "nat_value",
     "list_value",
     "chop",
-    "term_depth",
     "closed_terms_up_to_depth",
     "std_alg",
     "std_coalg",
@@ -155,7 +154,10 @@ def coalgebra(functor: PolyFunctor, elements: Iterable[Label], table, name: str 
     return Coalgebra(functor, car, structure, name)
 
 
-def alg_apply(a: Algebra, pos: Label, args: tuple) -> Label:
+def alg_apply(a: Algebra | "LazyAlgebra", pos: Label, args: tuple) -> Label:
+    """One structure step: beta(pos, args) of a finite or a lazy algebra."""
+    if isinstance(a, LazyAlgebra):
+        return a.apply(pos, args)
     return a.structure(felement(pos, args))
 
 
@@ -196,10 +198,7 @@ def cata(term: Label, target: Algebra | "LazyAlgebra", env: dict | None = None):
             raise ValueError(f"unbound term variable {label_text(term.value)}")
         return env[term.value]
     pos, children = fel_pos(term), fel_args(term)
-    values = tuple(cata(child, target, env) for child in children)
-    if isinstance(target, LazyAlgebra):
-        return target.apply(pos, values)
-    return alg_apply(target, pos, values)
+    return alg_apply(target, pos, tuple(cata(child, target, env) for child in children))
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +547,7 @@ def unique_hom_from_preinitial(a: Algebra, b: Algebra | "LazyAlgebra"):
         raise ValueError("unique_hom_from_preinitial requires a preinitial algebra")
     values = {e: cata(t, b) for e, t in terms.items()}
     for e in a.structure.dom:
-        pos, args = fel_pos(e), fel_args(e)
-        mapped = tuple(values[x] for x in args)
-        expected = b.apply(pos, mapped) if isinstance(b, LazyAlgebra) else alg_apply(b, pos, mapped)
+        expected = alg_apply(b, fel_pos(e), tuple(values[x] for x in fel_args(e)))
         if values[a.structure(e)] != expected:
             return None
     if isinstance(b, LazyAlgebra):
@@ -751,14 +748,6 @@ def chop(term: Label, depth: int, bottom_term: Label) -> Label:
         return bottom_term
     pos, args = fel_pos(term), fel_args(term)
     return (pos, tuple(chop(t, depth - 1, bottom_term) for t in args))
-
-
-def term_depth(term: Label, bottom_term: Label) -> int:
-    """Constructor depth with the bottom at depth 0."""
-    if term == bottom_term:
-        return 0
-    children = fel_args(term)
-    return 1 + (max(term_depth(t, bottom_term) for t in children) if children else 0)
 
 
 def closed_terms_up_to_depth(functor: PolyFunctor, depth: int,

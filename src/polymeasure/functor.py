@@ -14,9 +14,15 @@ from which the monoidal structure maps are computed:
 An element of ``F(X)`` is a pair label ``(position, args)`` where ``args``
 lists one element of ``X`` per fiber element, in the fiber's canonical order.
 
+Every element-level nabla goes through ``_nabla_element``, which reads the
+zip plan ``zip_plan(F, c, d) = (c * d, ((i, j), ...))``: for each element of
+fiber(c * d), the indices in fiber(c) and fiber(d) of the pair its zip sends
+it to.  Plans are cached on the functor, so a zip map is evaluated once per
+fiber element and position pair.
+
 ``validate_functor`` checks the monoid laws and the zip coherence laws
-(coassociativity, counitality, symmetry) exhaustively and reports witnesses
-for any failure.
+(coassociativity, counitality, symmetry) exhaustively on labels and reports
+witnesses for any failure.
 """
 
 from __future__ import annotations
@@ -236,17 +242,9 @@ def apply_to_map(functor: PolyFunctor, f: Map, guard: int | None = None) -> Map:
 
 def _nabla_element(functor: PolyFunctor, ex: Label, ey: Label) -> Label:
     """The F(X x Y) element obtained from a pair of F(X), F(Y) elements."""
-    c, gs = fel_pos(ex), fel_args(ex)
-    d, hs = fel_pos(ey), fel_args(ey)
-    cd = functor.mul(c, d)
-    lam = functor.zip_pair(c, d)
-    fiber_c = functor.fiber(c)
-    fiber_d = functor.fiber(d)
-    args = []
-    for w in functor.fiber(cd):
-        u, v = lam(w)
-        args.append((gs[fiber_c.index(u)], hs[fiber_d.index(v)]))
-    return felement(cd, tuple(args))
+    xs, ys = fel_args(ex), fel_args(ey)
+    cd, pairs = zip_plan(functor, fel_pos(ex), fel_pos(ey))
+    return felement(cd, tuple((xs[u], ys[v]) for u, v in pairs))
 
 
 def nabla(functor: PolyFunctor, x: Carrier, y: Carrier, guard: int | None = None) -> Map:
@@ -280,20 +278,11 @@ def nabla_tilde(functor: PolyFunctor, x: Carrier, y: Carrier, guard: int | None 
     cod = mk_hom(fx, fy, guard)
 
     def convert(e: Label) -> Label:
-        d, g_labels = fel_pos(e), fel_args(e)
-        fiber_d = functor.fiber(d)
-        gs = [map_from_hom_label(g, x, y) for g in g_labels]
+        maps = felement(fel_pos(e), (map_from_hom_label(g, x, y) for g in fel_args(e)))
 
         def act(ex: Label) -> Label:
-            b, args = fel_pos(ex), fel_args(ex)
-            fiber_b = functor.fiber(b)
-            db = functor.mul(d, b)
-            lam = functor.zip_pair(d, b)
-            out = []
-            for w in functor.fiber(db):
-                u, v = lam(w)
-                out.append(gs[fiber_d.index(u)](args[fiber_b.index(v)]))
-            return felement(db, tuple(out))
+            db, pairs = _nabla_element(functor, maps, ex)
+            return felement(db, tuple(g(a) for g, a in pairs))
 
         return hom_label(Map.from_callable(fx, fy, act))
 
@@ -519,16 +508,9 @@ def compose_functors(outer: PolyFunctor, inner: PolyFunctor, name: str | None = 
             positions.append((c, assign))
 
     def mul(p, q):
-        c, bs = p
-        d, es = q
-        cd = outer.mul(c, d)
-        lam = outer.zip_pair(c, d)
-        fc, fd = outer.fiber(c), outer.fiber(d)
-        out = []
-        for w in outer.fiber(cd):
-            u, v = lam(w)
-            out.append(inner.mul(bs[fc.index(u)], es[fd.index(v)]))
-        return (cd, tuple(out))
+        # p and q are outer elements over the inner positions
+        cd, pairs = _nabla_element(outer, p, q)
+        return (cd, tuple(inner.mul(b, e) for b, e in pairs))
 
     unit_c = outer.unit_position
     unit = (unit_c, tuple(inner.unit_position for _ in range(outer.arity(unit_c))))
@@ -546,7 +528,6 @@ def compose_functors(outer: PolyFunctor, inner: PolyFunctor, name: str | None = 
     def zip_of(p, q, w):
         c, bs = p
         d, es = q
-        cd, prod_bs = mul(p, q)
         u_out, v_inner = w  # w = (w_outer, z) in the composite fiber of p*q
         lam_outer = outer.zip_pair(c, d)
         u1, u2 = lam_outer(u_out)

@@ -3,9 +3,9 @@
 A measuring from algebra A to algebra B by coalgebra C is a table
 phi : C x A -> B making the defining square commute:
 
-    phi(c, alpha(fe)) = beta( combine(chi(c), fe, phi) )
+    phi(c, alpha(fe)) = beta( nabla(chi(c), fe) ; phi )
 
-where ``combine`` pushes the pair through nabla and applies phi childwise.
+where phi is applied to each (state, element) pair that nabla produces.
 The set of all of them is ``mu(C, A, B)``.
 
 Three enumeration strategies are provided and must agree:
@@ -71,11 +71,11 @@ from .core import (
 )
 from .functor import (
     PolyFunctor,
+    _nabla_element,
     apply_to_set,
     eta,
     fel_args,
     fel_pos,
-    felement,
     has_maybe_shape,
     zip_plan,
 )
@@ -143,12 +143,6 @@ class Measuring:
         return f"<measuring {cells}>"
 
 
-def _beta(b, pos: Label, args: tuple):
-    if isinstance(b, LazyAlgebra):
-        return b.apply(pos, args)
-    return alg_apply(b, pos, args)
-
-
 def _canonical_entries(c_coalg: Coalgebra, a_alg: Algebra, table) -> tuple:
     lookup = table if not callable(table) else None
     out = []
@@ -161,21 +155,6 @@ def _canonical_entries(c_coalg: Coalgebra, a_alg: Algebra, table) -> tuple:
 
 def measuring_from_fn(c_coalg: Coalgebra, a_alg: Algebra, b_alg, table) -> Measuring:
     return Measuring(c_coalg, a_alg, b_alg, _canonical_entries(c_coalg, a_alg, table))
-
-
-def _combine_value(functor: PolyFunctor, phi, c: Label, chi_c, fe: Label, b):
-    """beta of the nabla-image of (chi(c), fe) with phi applied childwise."""
-    pos_c, cargs = chi_c
-    y, aargs = fel_pos(fe), fel_args(fe)
-    composite = functor.mul(pos_c, y)
-    lam = functor.zip_pair(pos_c, y)
-    fiber_c = functor.fiber(pos_c)
-    fiber_y = functor.fiber(y)
-    children = []
-    for w in functor.fiber(composite):
-        u, v = lam(w)
-        children.append(phi(cargs[fiber_c.index(u)], aargs[fiber_y.index(v)]))
-    return _beta(b, composite, tuple(children))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +453,13 @@ def _solve_row(functor: PolyFunctor, C: Coalgebra, A: Algebra, B, c: Label, chil
     """The constraints the measuring square puts on the row at state c, given
     the rows at its child states.  Returns a partial row (dict) or None on an
     inconsistency."""
-    chi_c = coalg_out(C, c)
-    cargs = chi_c[1]
-
-    def phi(cu, av):
-        return child_rows[cargs.index(cu)][av]
-
+    chi_c = C.structure(c)
+    cargs = fel_args(chi_c)
     row: dict = {}
-    for fe in A.structure.dom:
-        target = A.structure(fe)
-        value = _combine_value(functor, phi, c, chi_c, fe, B)
+    for fe, target in zip(A.structure.dom, A.structure.images):
+        composite, pairs = _nabla_element(functor, chi_c, fe)
+        value = alg_apply(B, composite,
+                          tuple(child_rows[cargs.index(cu)][av] for cu, av in pairs))
         if target in row and row[target] != value:
             return None
         row[target] = value
@@ -645,7 +621,7 @@ def _maybe_stage_rows(A: Algebra, B, max_stage: int):
     failed_at is the first undefinable stage (None if all requested exist).
     """
     alpha = A.structure
-    zero_b = _beta(B, "Zero", ())
+    zero_b = alg_apply(B, "Zero", ())
     rows = [{a: zero_b for a in A.carrier}]
     for j in range(1, max_stage + 1):
         prev = rows[-1]
@@ -656,7 +632,7 @@ def _maybe_stage_rows(A: Algebra, B, max_stage: int):
             if fel_pos(fe) == "Zero":
                 value = zero_b
             else:
-                value = _beta(B, "Succ", (prev[fel_args(fe)[0]],))
+                value = alg_apply(B, "Succ", (prev[fel_args(fe)[0]],))
             if target in row and row[target] != value:
                 ok = False
                 break
@@ -728,24 +704,12 @@ def tensor_coalgebras(D: Coalgebra, C: Coalgebra, guard: int | None = None) -> C
     prod = carrier((d, c) for d in D.carrier for c in C.carrier)
     check_guard("coalgebra tensor carrier", len(prod), guard)
 
-    def table(state):
-        d, c = state
-        pos_d, dargs = coalg_out(D, d)
-        pos_c, cargs = coalg_out(C, c)
-        composite = functor.mul(pos_d, pos_c)
-        lam = functor.zip_pair(pos_d, pos_c)
-        fd, fc = functor.fiber(pos_d), functor.fiber(pos_c)
-        children = tuple(
-            (dargs[fd.index(u)], cargs[fc.index(v)])
-            for u, v in (lam(w) for w in functor.fiber(composite))
-        )
-        return (composite, children)
-
     cod = apply_to_set(functor, prod, guard)
     return Coalgebra(
         functor,
         prod,
-        Map.from_callable(prod, cod, lambda s: felement(*table(s))),
+        Map.from_callable(prod, cod, lambda s: _nabla_element(
+            functor, D.structure(s[0]), C.structure(s[1]))),
         name=f"{D.name}(x){C.name}" if D.name and C.name else "",
     )
 

@@ -7,6 +7,10 @@ carries an F-module structure
     module(fx, gy) : F(X) x (G.F)(Y) -> (G.F)(X x Y)
 
 derived from the strength of G followed by G applied to the inner nabla.
+On elements, ``module`` is the inner functor's one element-level nabla
+(``functor._nabla_element`` on ``zip_plan``), applied once per outer fiber
+element to fx and that element's slice of the composite arguments.
+
 With it, algebras of G.F are measured by F-coalgebras: a table
 phi : C x A -> B is a mixed measuring when
 
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .core import Carrier, Label, Map, STAR, carrier, check_guard, mk_hom
+from .core import Carrier, Label, Map, STAR, check_guard, mk_hom
 from .functor import (
     PolyFunctor,
+    _nabla_element,
     apply_to_set,
     compose_functors,
     eta,
@@ -59,23 +64,16 @@ class MixedSetup:
         result is the composite(X x Y) element at position (c, (b * b_u))
         whose argument at (u, w) pairs fx's value with gy's.
         """
-        inner, outer = self.inner, self.outer
-        b, xs = fel_pos(fx), fel_args(fx)
         (c, bs), ys = fel_pos(gy), fel_args(gy)
-        fiber_b = inner.fiber(b)
-        gy_fiber = self.composite.fiber((c, bs))
-        new_bs = tuple(inner.mul(b, bu) for bu in bs)
-        out_args = []
-        for u_index, bu in enumerate(bs):
-            u = outer.fiber(c).elements[u_index]
-            lam = inner.zip_pair(b, bu)
-            fiber_bu = inner.fiber(bu)
-            for w in inner.fiber(inner.mul(b, bu)):
-                w1, w2 = lam(w)
-                out_args.append(
-                    (xs[fiber_b.index(w1)], ys[gy_fiber.index((u, w2))])
-                )
-        return felement((c, new_bs), tuple(out_args))
+        # the composite fiber lists the inner fibers of the b_u one after another
+        new_bs, out_args, start = [], [], 0
+        for bu in bs:
+            end = start + self.inner.arity(bu)
+            pos, args = _nabla_element(self.inner, fx, felement(bu, ys[start:end]))
+            new_bs.append(pos)
+            out_args.extend(args)
+            start = end
+        return felement((c, tuple(new_bs)), tuple(out_args))
 
 
 def mixed_setup(inner: PolyFunctor, outer: PolyFunctor) -> MixedSetup:
@@ -111,18 +109,6 @@ def validate_module_map(setup: MixedSetup, x: Carrier, y: Carrier, z: Carrier):
     return True, None
 
 
-def _nabla_element(functor: PolyFunctor, ex: Label, ey: Label) -> Label:
-    c, gs = fel_pos(ex), fel_args(ex)
-    d, hs = fel_pos(ey), fel_args(ey)
-    lam = functor.zip_pair(c, d)
-    fiber_c, fiber_d = functor.fiber(c), functor.fiber(d)
-    args = tuple(
-        (gs[fiber_c.index(u)], hs[fiber_d.index(v)])
-        for u, v in (lam(w) for w in functor.fiber(functor.mul(c, d)))
-    )
-    return felement(functor.mul(c, d), args)
-
-
 @dataclass(frozen=True)
 class MixedMeasuring:
     """A table C x A -> B with C an inner-functor coalgebra and A, B
@@ -146,7 +132,6 @@ def mixed_measuring_check(m: MixedMeasuring, first_only: bool = True):
     """The mixed measuring square, checked on C x (G.F)(A).  Returns
     (ok, witnesses)."""
     setup = m.setup
-    comp = setup.composite
     witnesses = []
     for c in m.C.carrier:
         chi_c = m.C.structure(c)

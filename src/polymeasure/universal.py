@@ -28,7 +28,16 @@ from .core import (
     label_key,
     mk_hom,
 )
-from .functor import PolyFunctor, apply_to_map, apply_to_set, fel_args, fel_pos, has_maybe_shape
+from .functor import (
+    PolyFunctor,
+    _nabla_element,
+    apply_to_map,
+    apply_to_set,
+    fel_args,
+    fel_pos,
+    felement,
+    has_maybe_shape,
+)
 from .fixpoints import (
     Algebra,
     Coalgebra,
@@ -40,10 +49,10 @@ from .fixpoints import (
     enumerate_coalgebras,
     initial_lazy,
     is_preinitial,
-    maybe_index,
     nat_automaton,
     std_coalg,
     term_coalgebra,
+    term_height,
     unique_hom_from_preinitial,
     witness_terms,
 )
@@ -95,19 +104,11 @@ def convolution_step(C: Coalgebra, B: Algebra, pos: Label, f_labels: tuple) -> t
     the nullary positions walks the chain of points of [C,B] without
     materializing the function space.
     """
-    functor = B.functor
-    fiber_pos = functor.fiber(pos)
+    fe = felement(pos, f_labels)
     out = []
     for c in C.carrier:
-        pos_c, cargs = coalg_out(C, c)
-        composite = functor.mul(pos, pos_c)
-        lam = functor.zip_pair(pos, pos_c)
-        fiber_c = functor.fiber(pos_c)
-        children = tuple(
-            f_labels[fiber_pos.index(u)][C.carrier.index(cargs[fiber_c.index(v)])]
-            for u, v in (lam(w) for w in functor.fiber(composite))
-        )
-        out.append(alg_apply(B, composite, children))
+        composite, pairs = _nabla_element(B.functor, fe, C.structure(c))
+        out.append(alg_apply(B, composite, tuple(f[C.carrier.index(x)] for f, x in pairs)))
     return tuple(out)
 
 
@@ -221,18 +222,11 @@ def truncation_family(functor: PolyFunctor, max_level: int,
 def _default_family(a: Algebra) -> list[SubterminalDescriptor]:
     if has_maybe_shape(a.functor):
         return maybe_subterminal_family(len(a.carrier) + 1)
-    max_depth = max(
-        (_term_depth_bound(t) for t in witness_terms(a).values()), default=0
-    )
+    max_depth = max(map(term_height, witness_terms(a).values()), default=0)
     from .functor import ZERO_POSITION
 
     bottom = ZERO_POSITION if ZERO_POSITION in a.functor.positions.carrier else None
     return truncation_family(a.functor, max_depth + 1, bottom)
-
-
-def _term_depth_bound(term) -> int:
-    children = fel_args(term)
-    return 1 + (max(map(_term_depth_bound, children)) if children else 0)
 
 
 def _mu_nonempty(desc: SubterminalDescriptor, a: Algebra, b) -> Measuring | None:
@@ -416,19 +410,11 @@ def measuring_tensor(C: Coalgebra, A: Algebra, budget: int = 6,
     # Rewrite clause: a leaf at a structure image unfolds one step.
     pending_unions: list[tuple[int, int]] = []
     for c in C.carrier:
-        pos_c, cargs = coalg_out(C, c)
-        fiber_c = functor.fiber(pos_c)
-        for fe in A.structure.dom:
-            y, aargs = fel_pos(fe), fel_args(fe)
-            fiber_y = functor.fiber(y)
-            composite = functor.mul(pos_c, y)
-            lam = functor.zip_pair(pos_c, y)
-            children = []
-            for w in functor.fiber(composite):
-                u, v = lam(w)
-                children.append(add_leaf(cargs[fiber_c.index(u)], aargs[fiber_y.index(v)]))
-            node = add_node(composite, tuple(children))
-            pending_unions.append((leaf_id[(c, A.structure(fe))], node))
+        chi_c = C.structure(c)
+        for fe, img in zip(A.structure.dom, A.structure.images):
+            composite, pairs = _nabla_element(functor, chi_c, fe)
+            node = add_node(composite, tuple(add_leaf(x, y) for x, y in pairs))
+            pending_unions.append((leaf_id[(c, img)], node))
     for i, j in pending_unions:
         uf.union(i, j)
 
@@ -533,18 +519,12 @@ def tensor_universal_map(phi: Measuring, pres: TensorPresentation):
         changed = False
         for (pos, child_classes), cls in pres.node_class.items():
             if all(ch in values for ch in child_classes) and cls not in values:
-                args = tuple(values[ch] for ch in child_classes)
-                if isinstance(b, LazyAlgebra):
-                    offer(cls, b.apply(pos, args))
-                else:
-                    offer(cls, alg_apply(b, pos, args))
+                offer(cls, alg_apply(b, pos, tuple(values[ch] for ch in child_classes)))
                 changed = True
     # Re-apply node equations for consistency on already-valued classes.
     for (pos, child_classes), cls in pres.node_class.items():
         if all(ch in values for ch in child_classes):
-            args = tuple(values[ch] for ch in child_classes)
-            value = b.apply(pos, args) if isinstance(b, LazyAlgebra) else alg_apply(b, pos, args)
-            offer(cls, value)
+            offer(cls, alg_apply(b, pos, tuple(values[ch] for ch in child_classes)))
     return values, conflicts
 
 
@@ -564,17 +544,8 @@ def tensor_normal_term(C: Coalgebra, A: Algebra, c: Label, a: Label):
             preferred[img] = fe
 
     def expand(c, a):
-        fe = preferred[a]
-        y, aargs = fel_pos(fe), fel_args(fe)
-        pos_c, cargs = coalg_out(C, c)
-        composite = functor.mul(pos_c, y)
-        lam = functor.zip_pair(pos_c, y)
-        fiber_c, fiber_y = functor.fiber(pos_c), functor.fiber(y)
-        children = tuple(
-            expand(cargs[fiber_c.index(u)], aargs[fiber_y.index(v)])
-            for u, v in (lam(w) for w in functor.fiber(composite))
-        )
-        return (composite, children)
+        composite, pairs = _nabla_element(functor, C.structure(c), preferred[a])
+        return (composite, tuple(expand(x, y) for x, y in pairs))
 
     return expand(c, a)
 

@@ -57,6 +57,7 @@ from .functor import (
     bounded_tree_functor,
     compose_functors,
     const_monoid_functor,
+    has_maybe_shape,
     identity_functor,
     list_functor,
     maybe_functor,
@@ -161,8 +162,22 @@ def _split_sections(text: str) -> list[tuple[str, str, dict, int]]:
     return sections
 
 
-def _parse_labels(text: str) -> list[Label]:
-    return [parse_label(tok) for tok in text.split()]
+def _entry(entries: dict, key: str, owner: str, lineno: int) -> tuple[str, int]:
+    """The (value, line) of a required key."""
+    if key not in entries:
+        raise WorkspaceError(f"{owner} needs {key!r}", lineno)
+    return entries[key]
+
+
+def _parse_label(text: str, lineno: int) -> Label:
+    try:
+        return parse_label(text)
+    except ValueError as exc:
+        raise WorkspaceError(f"bad label {text!r}: {exc}", lineno) from None
+
+
+def _parse_labels(text: str, lineno: int) -> list[Label]:
+    return [_parse_label(tok, lineno) for tok in text.split()]
 
 
 def _parse_pairs(text: str, lineno: int) -> list[tuple[Label, Label]]:
@@ -171,22 +186,45 @@ def _parse_pairs(text: str, lineno: int) -> list[tuple[Label, Label]]:
         if "->" not in tok:
             raise WorkspaceError(f"expected 'key->value', got {tok!r}", lineno)
         k, v = tok.split("->", 1)
-        out.append((parse_label(k), parse_label(v)))
+        out.append((_parse_label(k, lineno), _parse_label(v, lineno)))
     return out
+
+
+def _parse_count(text: str, lineno: int) -> int:
+    if not text.isdigit():
+        raise WorkspaceError(f"expected a count, got {text!r}", lineno)
+    return int(text)
+
+
+def _builtin_count(parts: list[str], lineno: int) -> int:
+    """The count N of a builtin spec 'kind N'."""
+    if len(parts) != 2:
+        raise WorkspaceError(f"builtin {parts[0]!r} takes one count", lineno)
+    return _parse_count(parts[1], lineno)
 
 
 def _parse_monoid(spec: str, lineno: int) -> PositionMonoid:
     parts = spec.split()
-    if parts[0] == "zmod" and len(parts) == 2:
-        return z_mod(int(parts[1]))
-    if parts[0] == "trivial":
+    if parts[:1] == ["trivial"]:
         return trivial_monoid()
+    if len(parts) == 2 and parts[0] == "zmod" and _parse_count(parts[1], lineno):
+        return z_mod(int(parts[1]))
     raise WorkspaceError(f"unknown monoid spec {spec!r} (use 'zmod N' or 'trivial')", lineno)
+
+
+def _require_maybe(builtin: str, functor: PolyFunctor, lineno: int) -> None:
+    if not has_maybe_shape(functor):
+        raise WorkspaceError(
+            f"builtin {builtin!r} is defined for the maybe functor (1 + X) only, "
+            f"not for {functor.name!r}", lineno)
 
 
 def _build_functor(name: str, entries: dict, lineno: int, ws: Workspace) -> PolyFunctor:
     def get(key, default=None):
         return entries[key][0] if key in entries else default
+
+    def builtin_monoid() -> PositionMonoid:
+        return _parse_monoid(*entries.get("monoid", ("trivial", lineno)))
 
     builtin = get("builtin")
     if builtin:
@@ -199,41 +237,49 @@ def _build_functor(name: str, entries: dict, lineno: int, ws: Workspace) -> Poly
         if kind == "identity":
             return identity_functor()
         if kind == "const":
-            return const_monoid_functor(_parse_monoid(get("monoid", "trivial"), lineno), name)
+            return const_monoid_functor(builtin_monoid(), name)
         if kind == "list":
-            return list_functor(_parse_monoid(get("monoid", "trivial"), lineno), name)
+            return list_functor(builtin_monoid(), name)
         if kind == "bintree":
-            return bintree_functor(_parse_monoid(get("monoid", "trivial"), lineno), name)
+            return bintree_functor(builtin_monoid(), name)
         if kind == "boundedtree":
-            arity = int(get("arity", "2"))
-            return bounded_tree_functor(_parse_monoid(get("monoid", "trivial"), lineno), arity, name)
+            arity = _parse_count(*entries.get("arity", ("2", lineno)))
+            return bounded_tree_functor(builtin_monoid(), arity, name)
         if kind == "automaton":
-            alphabet = carrier(_parse_labels(get("alphabet", "a")))
+            alphabet = carrier(_parse_labels(get("alphabet", "a"), lineno))
             return automaton_functor(alphabet, name)
         if kind == "compose" and len(parts) == 3:
             return compose_functors(ws.functor(parts[1]), ws.functor(parts[2]), name)
         raise WorkspaceError(f"unknown builtin functor {builtin!r}", lineno)
     if "positions" not in entries:
         raise WorkspaceError(f"functor {name!r} needs 'builtin' or explicit tables", lineno)
-    positions = _parse_labels(entries["positions"][0])
-    unit = parse_label(entries["unit"][0])
-    op_pairs = dict(_parse_pairs(entries["op"][0], entries["op"][1]))
-    monoid = monoid_from_op(positions, {
-        (a, b): op_pairs[(a, b)] for a in positions for b in positions
-    }, unit)
+    owner = f"functor {name!r}"
+    positions = _parse_labels(*entries["positions"])
+    unit = _parse_label(*_entry(entries, "unit", owner, lineno))
+    op_text, op_line = _entry(entries, "op", owner, lineno)
+    op_pairs = dict(_parse_pairs(op_text, op_line))
+    try:
+        monoid = monoid_from_op(positions, {
+            (a, b): op_pairs[(a, b)] for a in positions for b in positions
+        }, unit)
+    except (ValueError, KeyError) as exc:
+        raise WorkspaceError(f"{owner}: bad position monoid: {exc}", op_line) from None
     fibers = {}
     for pos in positions:
         key = f"fiber {label_text(pos)}"
         if key not in entries:
             raise WorkspaceError(f"missing '{key}' for functor {name!r}", lineno)
-        fibers[pos] = carrier(_parse_labels(entries[key][0]))
+        fibers[pos] = carrier(_parse_labels(*entries[key]))
     zip_tables = {}
     for c in positions:
         for d in positions:
             key = f"zip ({label_text(c)},{label_text(d)})"
             dom = fibers[monoid.mul(c, d)]
             if key in entries:
-                zip_tables[(c, d)] = dict(_parse_pairs(entries[key][0], entries[key][1]))
+                zip_tables[(c, d)] = table = dict(_parse_pairs(*entries[key]))
+                if not all(isinstance(v, tuple) and len(v) == 2 for v in table.values()):
+                    raise WorkspaceError(f"'{key}' must send each element to a pair",
+                                         entries[key][1])
             elif len(dom) == 0:
                 zip_tables[(c, d)] = {}
             else:
@@ -245,7 +291,10 @@ def _build_functor(name: str, entries: dict, lineno: int, ws: Workspace) -> Poly
 
     from .functor import _mk_functor
 
-    return _mk_functor(name, monoid, lambda pos: fibers[pos], zip_of)
+    try:
+        return _mk_functor(name, monoid, lambda pos: fibers[pos], zip_of)
+    except (ValueError, KeyError) as exc:
+        raise WorkspaceError(f"{owner}: bad zip tables: {exc}", lineno) from None
 
 
 def _build_algebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Algebra:
@@ -257,14 +306,16 @@ def _build_algebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Alge
     if builtin:
         parts = builtin.split()
         if parts[0] == "std_alg":
-            return std_alg(int(parts[1]))
+            _require_maybe(parts[0], functor, lineno)
+            return std_alg(_builtin_count(parts, lineno))
         if parts[0] == "list_alg":
-            return list_alg(functor, int(parts[1]))
+            return list_alg(functor, _builtin_count(parts, lineno))
         if parts[0] == "tree_alg":
-            return tree_alg(functor, int(parts[1]))
+            return tree_alg(functor, _builtin_count(parts, lineno))
         raise WorkspaceError(f"unknown builtin algebra {builtin!r}", lineno)
-    elements = _parse_labels(entries["carrier"][0])
-    table = dict(_parse_pairs(entries["table"][0], entries["table"][1]))
+    owner = f"algebra {name!r}"
+    elements = _parse_labels(*_entry(entries, "carrier", owner, lineno))
+    table = dict(_parse_pairs(*_entry(entries, "table", owner, lineno)))
     try:
         return algebra(functor, elements, {k: v for k, v in table.items()}, name=name)
     except (ValueError, KeyError) as exc:
@@ -280,20 +331,23 @@ def _build_coalgebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Co
     if builtin:
         parts = builtin.split()
         if parts[0] == "std_coalg":
-            return std_coalg(int(parts[1]))
+            _require_maybe(parts[0], functor, lineno)
+            return std_coalg(_builtin_count(parts, lineno))
         if parts[0] == "list_coalg":
-            return list_coalg(functor, int(parts[1]))
+            return list_coalg(functor, _builtin_count(parts, lineno))
         if parts[0] == "tree_coalg":
-            return tree_coalg(functor, int(parts[1]))
+            return tree_coalg(functor, _builtin_count(parts, lineno))
         if parts[0] == "nat_automaton":
-            return nat_automaton(int(parts[1]))
+            _require_maybe(parts[0], functor, lineno)
+            return nat_automaton(_builtin_count(parts, lineno))
         if parts[0] == "unit":
             return unit_coalgebra(functor)
         if parts[0] == "empty":
             return coalgebra(functor, (), {}, name=name)
         raise WorkspaceError(f"unknown builtin coalgebra {builtin!r}", lineno)
-    elements = _parse_labels(entries["carrier"][0])
-    table = dict(_parse_pairs(entries["table"][0], entries["table"][1]))
+    owner = f"coalgebra {name!r}"
+    elements = _parse_labels(*_entry(entries, "carrier", owner, lineno))
+    table = dict(_parse_pairs(*_entry(entries, "table", owner, lineno)))
     try:
         return coalgebra(functor, elements, {k: v for k, v in table.items()}, name=name)
     except (ValueError, KeyError) as exc:
@@ -307,7 +361,7 @@ def _build_measuring(name: str, entries: dict, lineno: int, ws: Workspace) -> Me
     c_coalg = ws.coalgebra(entries["C"][0])
     a_alg = ws.algebra(entries["A"][0])
     b_alg = ws.algebra(entries["B"][0])
-    table = dict(_parse_pairs(entries["table"][0], entries["table"][1]))
+    table = dict(_parse_pairs(*entries["table"]))
     try:
         m = measuring_from_fn(c_coalg, a_alg, b_alg, lambda c, a: table[(c, a)])
     except KeyError as exc:
@@ -328,7 +382,8 @@ def parse_workspace(text: str) -> Workspace:
         if kind == "functor":
             ws.functors[name] = _build_functor(name, entries, lineno, ws)
         elif kind == "carrier":
-            ws.carriers[name] = carrier(_parse_labels(entries["elements"][0]))
+            elements = _entry(entries, "elements", f"carrier {name!r}", lineno)
+            ws.carriers[name] = carrier(_parse_labels(*elements))
         elif kind == "algebra":
             ws.algebras[name] = _build_algebra(name, entries, lineno, ws)
             ws.algebra_functor[name] = entries.get("functor", ("?", 0))[0]

@@ -2,9 +2,31 @@ import random
 
 import pytest
 
-from polymeasure.core import Carrier, Map, carrier
-from polymeasure.functor import apply_to_set
+from polymeasure.core import Carrier, Map, carrier, mk_product
+from polymeasure.functor import PolyFunctor, apply_to_set, monoid_from_op
 from polymeasure.fixpoints import Algebra, Coalgebra
+
+
+def twisted_functor(grounded: bool = False) -> PolyFunctor:
+    """Positions Z/2 and fibers {0, 1}, with zip(c, d)(w) = (w xor d, w xor c).
+
+    A lawful functor whose zips are not diagonal, so an answer changes when
+    the two indices of a zip plan are swapped.  ``grounded`` adjoins an
+    absorbing position nil with an empty fiber, which gives the functor
+    preinitial algebras.
+    """
+    elements = (0, 1, "nil") if grounded else (0, 1)
+    positions = monoid_from_op(
+        elements, lambda a, b: "nil" if "nil" in (a, b) else a ^ b, 0)
+    fibers = tuple((p, carrier(() if p == "nil" else (0, 1))) for p in elements)
+    fiber = dict(fibers)
+    zips = []
+    for c in elements:
+        for d in elements:
+            pairs, _, _ = mk_product(fiber[c], fiber[d])
+            zips.append(((c, d), Map.from_callable(
+                fiber[positions.mul(c, d)], pairs, lambda w, c=c, d=d: (w ^ d, w ^ c))))
+    return PolyFunctor("twisted+nil" if grounded else "twisted", positions, fibers, tuple(zips))
 
 
 def random_algebra(functor, size, rng: random.Random) -> Algebra:

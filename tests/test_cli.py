@@ -1,4 +1,7 @@
 import io
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -164,6 +167,40 @@ class TestCommands:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+LIST_Z2 = "[functor L]\nbuiltin = list\nmonoid = zmod 2\n"
+MALFORMED = {
+    "functor-without-unit": "[functor K]\npositions = 0 1\n"
+                            "op = (0,0)->0 (0,1)->1 (1,0)->1 (1,1)->0\nfiber 0 =\nfiber 1 =\n",
+    "bad-label-text": "[functor M]\nbuiltin = maybe\n[algebra A]\nfunctor = M\n"
+                      "carrier = ((\ntable = (Zero,())->0\n",
+    "algebra-without-carrier": "[functor M]\nbuiltin = maybe\n[algebra A]\nfunctor = M\n"
+                               "table = (Zero,())->0\n",
+    "empty-monoid": "[functor L]\nbuiltin = list\nmonoid =\n",
+    "monoid-zmod-x": "[functor L]\nbuiltin = list\nmonoid = zmod x\n",
+    "std_alg-on-list": LIST_Z2 + "[algebra A]\nfunctor = L\nbuiltin = std_alg 2\n",
+    "std_coalg-on-list": LIST_Z2 + "[coalgebra C]\nfunctor = L\nbuiltin = std_coalg 2\n",
+    "nat_automaton-on-list": LIST_Z2 + "[coalgebra C]\nfunctor = L\nbuiltin = nat_automaton 2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_workspace_exits_2_without_traceback(case, tmp_path):
+    text = MALFORMED[case]
+    path = tmp_path / "malformed.pmw"
+    path.write_text(text)
+    functor = text.split("]", 1)[0].split()[-1]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polymeasure.cli", str(path), "validate-functor",
+         "--functor", functor],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr and "(line " in proc.stderr
 
 
 class TestShippedWorkspaces:

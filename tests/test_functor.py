@@ -24,6 +24,8 @@ from polymeasure.functor import (
     z_mod,
 )
 
+from conftest import twisted_functor
+
 ALL_BUILTINS = [
     unit_functor(),
     identity_functor(),
@@ -34,9 +36,11 @@ ALL_BUILTINS = [
     bounded_tree_functor(trivial_monoid(), 2),
     automaton_functor(carrier(["a"])),
 ]
+# the builtins plus one functor whose zips are not diagonal
+LAWFUL = ALL_BUILTINS + [twisted_functor()]
 
 
-@pytest.mark.parametrize("functor", ALL_BUILTINS, ids=lambda f: f.name)
+@pytest.mark.parametrize("functor", LAWFUL, ids=lambda f: f.name)
 def test_builtin_instances_pass_all_laws(functor):
     for law in validate_functor(functor):
         assert law.ok, (functor.name, law)
@@ -103,7 +107,7 @@ def test_list_nabla_multiplies_heads():
     assert nab(((1, ("p",)), ("nil", ()))) == ("nil", ())
 
 
-@pytest.mark.parametrize("functor", ALL_BUILTINS, ids=lambda f: f.name)
+@pytest.mark.parametrize("functor", LAWFUL, ids=lambda f: f.name)
 def test_nabla_symmetry(functor):
     x = carrier([0, 1])
     nab = nabla(functor, x, x)
@@ -116,7 +120,7 @@ def test_nabla_symmetry(functor):
             assert f_swap(nab((a, b))) == nab((b, a))
 
 
-@pytest.mark.parametrize("functor", ALL_BUILTINS, ids=lambda f: f.name)
+@pytest.mark.parametrize("functor", LAWFUL, ids=lambda f: f.name)
 def test_nabla_associativity_and_unit(functor):
     x = carrier([0, 1])
     y = carrier(["a"])
@@ -188,11 +192,18 @@ def test_nabla_tilde_maybe_zero_is_constant_zero():
 )
 def test_nabla_tilde_agrees_with_adjunct(functor):
     # ev . (tilde x id) == F(ev) . nabla on all inputs of a size-2 instance
-    x, y = carrier([0, 1]), carrier(["a", "b"])
+    check_tilde_adjunct(functor, carrier([0, 1]), carrier(["a", "b"]))
+
+
+def test_nabla_tilde_agrees_with_adjunct_twisted():
+    # [F(X), F(Y)] has 8^8 elements at |X| = 2, above the size guard
+    check_tilde_adjunct(twisted_functor(), carrier([0]), carrier(["a", "b"]))
+
+
+def check_tilde_adjunct(functor, x, y):
     hom_xy = mk_hom(x, y)
     fx, fy = apply_to_set(functor, x), apply_to_set(functor, y)
     tilde = nabla_tilde(functor, x, y)
-    hom_x_y_prod, _, _ = mk_product(hom_xy, x)
     nab = nabla(functor, hom_xy, x)
     for fe in apply_to_set(functor, hom_xy):
         lifted = map_from_hom_label(tilde(fe), fx, fy)
@@ -212,3 +223,11 @@ def test_composite_functor_satisfies_laws():
     # composite of maybe after automaton: F(X) = 1 + 2 x X^{|Sigma|}
     x = carrier([0, 1])
     assert len(apply_to_set(comp, x)) == 1 + 2 * 2
+
+
+def test_twisted_composites_satisfy_laws():
+    twisted = twisted_functor()
+    for comp in (compose_functors(twisted, maybe_functor()),
+                 compose_functors(maybe_functor(), twisted)):
+        for law in validate_functor(comp):
+            assert law.ok, (comp.name, law)

@@ -54,7 +54,7 @@ from polymeasure.measuring import (
     unit_coalgebra,
 )
 
-from conftest import random_algebra, random_coalgebra
+from conftest import random_algebra, random_coalgebra, twisted_functor
 
 SMALL_FUNCTORS = [
     unit_functor(),
@@ -63,6 +63,7 @@ SMALL_FUNCTORS = [
     maybe_functor(),
     list_functor(z_mod(2)),
     automaton_functor(carrier(["a"])),
+    twisted_functor(),
 ]
 
 
@@ -123,6 +124,19 @@ class TestStrategiesAgree:
             tables = [m.entries for m in brute]
             assert [m.entries for m in conv] == tables
             assert [m.entries for m in prop] == tables
+
+    @pytest.mark.parametrize("functor", SMALL_FUNCTORS, ids=lambda f: f.name)
+    def test_unit_coalgebra_measurings_are_the_algebra_homs(self, functor, rng):
+        # mu(I, A, B) = Alg(A, B); the homs are found without any nabla
+        unit = unit_coalgebra(functor)
+        for _ in range(6):
+            a = random_algebra(functor, rng.randrange(1, 3), rng)
+            for b in (random_algebra(functor, rng.randrange(1, 3), rng), a):
+                homs = [tuple(((STAR, x), h(x)) for x in a.carrier)
+                        for h in enumerate_algebra_homs(a, b)]
+                for strategy in ("brute", "convolution", "propagate"):
+                    ms = enumerate_measurings(unit, a, b, strategy)
+                    assert sorted(m.entries for m in ms) == sorted(homs), strategy
 
     def test_propagate_handles_mixed_label_carriers(self):
         b = algebra(

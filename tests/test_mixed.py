@@ -18,7 +18,7 @@ from polymeasure.mixed import (
     validate_module_map,
 )
 
-from conftest import random_algebra, random_coalgebra
+from conftest import random_algebra, random_coalgebra, twisted_functor
 
 
 @pytest.fixture
@@ -84,3 +84,25 @@ def test_violation_witnesses(setup):
     ok, witnesses = mixed_measuring_check(m)
     if not ok:
         assert witnesses
+
+
+def test_twisted_inner_functor(rng):
+    # the inner zips are not diagonal, so the module map's index order shows
+    setup = mixed_setup(twisted_functor(), maybe_functor())
+    for law in validate_functor(setup.composite):
+        assert law.ok, law
+    ok, witness = validate_module_map(setup, carrier([0, 1]), carrier(["p", "q"]), carrier([0]))
+    assert ok, witness
+    unit = unit_coalgebra(setup.inner)
+    for _ in range(6):
+        a = random_algebra(setup.composite, rng.choice([1, 2]), rng)
+        b = random_algebra(setup.composite, rng.choice([1, 2]), rng)
+        mixed = enumerate_mixed_measurings(setup, unit, a, b)
+        homs = enumerate_algebra_homs(a, b)
+        assert sorted(m.entries for m in mixed) == sorted(
+            tuple(((STAR, x), h(x)) for x in a.carrier) for h in homs
+        )
+        c = random_coalgebra(setup.inner, rng.choice([1, 2]), rng)
+        conv = mixed_convolution_algebra(setup, c, b)
+        assert len(enumerate_algebra_homs(a, conv)) == len(
+            enumerate_mixed_measurings(setup, c, a, b))

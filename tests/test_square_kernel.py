@@ -27,7 +27,6 @@ from polymeasure.fixpoints import (
     Coalgebra,
     LazyAlgebra,
     alg_apply,
-    coalg_out,
     initial_lazy,
     is_preinitial,
 )
@@ -40,9 +39,11 @@ from polymeasure.measuring import (
     measuring_from_fn,
     measuring_set,
     measuring_violations,
+    tensor_coalgebras,
 )
+from polymeasure.universal import tensor_normal_term
 
-from conftest import random_algebra, random_coalgebra
+from conftest import random_algebra, random_coalgebra, twisted_functor
 
 FUNCTORS = {
     "maybe": maybe_functor(),
@@ -50,9 +51,11 @@ FUNCTORS = {
     "bintree": bintree_functor(z_mod(2)),
     "tree2": bounded_tree_functor(trivial_monoid(), 2),
     "automaton": automaton_functor(carrier(["a", "b"])),
+    "twisted": twisted_functor(),
+    "twisted+nil": twisted_functor(grounded=True),
 }
 # functors with a nullary position, hence with preinitial algebras
-GROUNDED = ["maybe", "list", "bintree", "tree2"]
+GROUNDED = ["maybe", "list", "bintree", "tree2", "twisted+nil"]
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -61,18 +64,21 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 # Reference square check
 # ---------------------------------------------------------------------------
 
+def reference_nabla(functor, ex, ey):
+    """nabla on elements, read off the zip maps."""
+    (c, xs), (d, ys) = ex, ey
+    lam = functor.zip_pair(c, d)
+    pairs = []
+    for w in functor.fiber(functor.mul(c, d)):
+        u, v = lam(w)
+        pairs.append((xs[functor.fiber(c).index(u)], ys[functor.fiber(d).index(v)]))
+    return functor.mul(c, d), tuple(pairs)
+
+
 def reference_rhs(C, A, B, phi, c, fe):
     """beta of nabla(chi(c), fe) with phi applied childwise."""
-    functor = A.functor
-    pos_c, cargs = coalg_out(C, c)
-    y, aargs = fe
-    composite = functor.mul(pos_c, y)
-    lam = functor.zip_pair(pos_c, y)
-    children = []
-    for w in functor.fiber(composite):
-        u, v = lam(w)
-        children.append(phi(cargs[functor.fiber(pos_c).index(u)],
-                            aargs[functor.fiber(y).index(v)]))
+    composite, pairs = reference_nabla(A.functor, C.structure(c), fe)
+    children = [phi(x, a) for x, a in pairs]
     if isinstance(B, LazyAlgebra):
         return B.apply(composite, tuple(children))
     return alg_apply(B, composite, tuple(children))
@@ -209,6 +215,38 @@ def test_measuring_set_is_the_brute_filter(name, rng, sizes, preinitial):
         if not reference_violations(c, a, b, table):
             expected.append(tuple(zip(cells, values)))
     assert [m.entries for m in measuring_set(c, a, b)] == expected
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(FUNCTORS)), rng=st.randoms(use_true_random=False),
+       sizes=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_tensor_coalgebra_is_the_reference_nabla(name, rng, sizes):
+    functor = FUNCTORS[name]
+    d = random_coalgebra(functor, sizes[0], rng)
+    c = random_coalgebra(functor, sizes[1], rng)
+    t = tensor_coalgebras(d, c)
+    for x, y in t.carrier:
+        assert t.structure((x, y)) == reference_nabla(functor, d.structure(x), c.structure(y))
+
+
+@PROPERTY
+@given(name=st.sampled_from(GROUNDED), rng=st.randoms(use_true_random=False),
+       sizes=st.tuples(st.integers(0, 3), st.integers(1, 3)))
+def test_normal_term_is_the_demand_in_the_initial_algebra(name, rng, sizes):
+    functor = FUNCTORS[name]
+    c = acyclic_coalgebra(functor, sizes[0], rng)
+    a = preinitial_algebra(functor, sizes[1], rng)
+    initial = initial_lazy(functor)
+    preferred: dict = {}
+    for fe in a.structure.dom:
+        preferred.setdefault(a.structure(fe), fe)
+
+    def value(x, y):
+        return reference_rhs(c, a, initial, value, x, preferred[y])
+
+    for x in c.carrier:
+        for y in a.carrier:
+            assert tensor_normal_term(c, a, x, y) == value(x, y)
 
 
 def test_empty_algebra():

@@ -33,6 +33,7 @@ from polymeasure.measuring import (
     Measuring,
     enumerate_measurings,
     forced_measuring,
+    identity_measuring,
     measuring_from_fn,
     measuring_set,
     unit_coalgebra,
@@ -56,7 +57,7 @@ from polymeasure.universal import (
     verify_universal,
 )
 
-from conftest import random_algebra, random_coalgebra
+from conftest import random_algebra, random_coalgebra, twisted_functor
 
 
 def nth_point(alg, n):
@@ -153,6 +154,17 @@ class TestMeasuringTensor:
         pres = measuring_tensor(unit_coalgebra(maybe_functor()), a)
         assert pres.status == "finite"
         assert len(pres.class_terms) == len(a.carrier)
+
+    def test_unit_tensor_over_the_twisted_functor(self, rng):
+        # zip(0, 1) is not diagonal, so the rewrite clause's index order shows
+        functor = twisted_functor()
+        for _ in range(6):
+            a = random_algebra(functor, rng.randrange(1, 3), rng)
+            pres = measuring_tensor(unit_coalgebra(functor), a)
+            assert pres.status == "finite"
+            assert len(pres.class_terms) == len(a.carrier)
+            _, conflicts = tensor_universal_map(identity_measuring(a), pres)
+            assert not conflicts
 
     def test_adjunction_count(self, rng):
         functor = const_monoid_functor(z_mod(2))
