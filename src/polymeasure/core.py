@@ -206,6 +206,20 @@ def carrier(elements: Iterable[Label]) -> Carrier:
     return Carrier(tuple(elements))
 
 
+def _ordered_carrier(elements: tuple) -> Carrier:
+    """A carrier of elements already in canonical order and without repeats,
+    built without the sort and the duplicate scan.
+
+    Only for the products over canonical carriers made by ``mk_product``,
+    ``mk_hom`` and ``functor.apply_to_set``: ``itertools.product`` of sorted
+    factors (after positions in canonical order) is lexicographic in the
+    factors, which is ``label_key`` order on the tuples it builds.
+    """
+    c = object.__new__(Carrier)
+    object.__setattr__(c, "elements", elements)
+    return c
+
+
 EMPTY = carrier(())
 STAR: Label = "*"
 UNIT = carrier((STAR,))
@@ -278,7 +292,7 @@ class CoproductResult(NamedTuple):
 def mk_product(s: Carrier, t: Carrier, guard: int | None = None) -> ProductResult:
     """Cartesian product with pair labels and the two projections."""
     check_guard("product carrier", len(s) * len(t), guard)
-    prod = carrier((a, b) for a in s for b in t)
+    prod = _ordered_carrier(tuple(itertools.product(s.elements, t.elements)))
     proj1 = Map.from_callable(prod, s, lambda p: p[0])
     proj2 = Map.from_callable(prod, t, lambda p: p[1])
     return ProductResult(prod, proj1, proj2)
@@ -307,7 +321,7 @@ def map_from_hom_label(label: Label, dom: Carrier, cod: Carrier) -> Map:
 def mk_hom(s: Carrier, t: Carrier, guard: int | None = None) -> Carrier:
     """The function-space carrier [s,t]; elements are image tuples in s-order."""
     check_guard("hom carrier", len(t) ** len(s) if len(s) else 1, guard)
-    return carrier(itertools.product(t.elements, repeat=len(s)))
+    return _ordered_carrier(tuple(itertools.product(t.elements, repeat=len(s))))
 
 
 def enumerate_functions(s: Carrier, t: Carrier, guard: int | None = None) -> list[Map]:

@@ -334,21 +334,49 @@ def lambek_check(result: AdamekResult, hom_size: int = 3, guard: int | None = No
 # Preinitial / subterminal recognition
 # ---------------------------------------------------------------------------
 
+def _released_cells(a: Algebra):
+    """The F(A) cells whose arguments are all reachable, as (position,
+    argument ids, image id) in the order a counter-driven pass releases
+    them; an element's id is its index in A's carrier.
+
+    Reachability is the least fixpoint of the Horn clauses "the arguments of
+    a cell are reached => its image is reached", so one pass decides it in
+    time linear in |F(A)| (Dowling and Gallier, 1984): each cell counts its
+    distinct unreached arguments and is released when the count hits 0.
+    The argument ids are read off F(A)'s order (positions in turn, then the
+    product over the carrier), so no argument label is hashed.
+    """
+    functor, n = a.functor, len(a.carrier)
+    index = a.carrier._index
+    alpha = [index[x] for x in a.structure.images]
+    cells = [(pos, ids) for pos in functor.positions.carrier
+             for ids in itertools.product(range(n), repeat=functor.arity(pos))]
+    missing = []  # per cell, its distinct arguments not yet reached
+    waiting: list = [[] for _ in range(n)]  # per element, the cells that wait for it
+    released = []
+    for i, (_, ids) in enumerate(cells):
+        distinct = set(ids)
+        missing.append(len(distinct))
+        for x in distinct:
+            waiting[x].append(i)
+        if not distinct:
+            released.append(i)
+    reached = bytearray(n)
+    for i in released:  # released grows while it is read
+        k = alpha[i]
+        yield (*cells[i], k)
+        if not reached[k]:
+            reached[k] = 1
+            for j in waiting[k]:
+                missing[j] -= 1
+                if missing[j] == 0:
+                    released.append(j)
+
+
 def reachable_set(a: Algebra) -> frozenset:
     """Least subset closed under the structure map (images of F applied to it)."""
-    reached: set = set()
-    pending = list(zip(a.structure.dom.elements, a.structure.images))
-    while pending:
-        blocked = []
-        for e, img in pending:
-            if all(child in reached for child in fel_args(e)):
-                reached.add(img)
-            else:
-                blocked.append((e, img))
-        if len(blocked) == len(pending):
-            break
-        pending = blocked
-    return frozenset(reached)
+    elements = a.carrier.elements
+    return frozenset(elements[k] for _, _, k in _released_cells(a))
 
 
 def is_preinitial(a: Algebra) -> bool:
@@ -538,21 +566,25 @@ def witness_terms(a: Algebra) -> dict:
 def unique_hom_from_preinitial(a: Algebra, b: Algebra | "LazyAlgebra"):
     """The unique homomorphism out of a preinitial algebra, or None.
 
-    The candidate is forced: each element maps to the evaluation of its
-    witness term.  When the candidate fails the homomorphism condition no
+    The candidate is forced: on one reachability pass, each element maps to
+    beta applied to the values of the first cell released onto it, and every
+    later cell is checked against that value.  A homomorphism's values do
+    not depend on which cell came first, so when a check fails no
     homomorphism exists.  Returns a Map for finite b, or a dict for lazy b.
     """
-    terms = witness_terms(a)
-    if len(terms) != len(a.carrier):
-        raise ValueError("unique_hom_from_preinitial requires a preinitial algebra")
-    values = {e: cata(t, b) for e, t in terms.items()}
-    for e in a.structure.dom:
-        expected = alg_apply(b, fel_pos(e), tuple(values[x] for x in fel_args(e)))
-        if values[a.structure(e)] != expected:
+    values: dict = {}  # element id -> value in b
+    for pos, ids, k in _released_cells(a):
+        value = alg_apply(b, pos, tuple(values[x] for x in ids))
+        if values.setdefault(k, value) != value:
+            if not is_preinitial(a):
+                break
             return None
+    if len(values) != len(a.carrier):
+        raise ValueError("unique_hom_from_preinitial requires a preinitial algebra")
+    images = tuple(values[k] for k in range(len(a.carrier)))
     if isinstance(b, LazyAlgebra):
-        return values
-    return Map.from_dict(a.carrier, b.carrier, values)
+        return dict(zip(a.carrier.elements, images))
+    return Map(a.carrier, b.carrier, images)
 
 
 def enumerate_algebras(functor: PolyFunctor, max_size: int, guard: int | None = None,
@@ -780,12 +812,13 @@ def truncated_initial_algebra(functor: PolyFunctor, depth: int, bottom: Label | 
     """
     bottom_term = _bottom_term(functor, bottom)
     elements = closed_terms_up_to_depth(functor, depth, bottom)
-    return algebra(
-        functor,
-        elements,
-        lambda pos, args: chop((pos, tuple(args)), depth, bottom_term),
-        name=name or f"trunc({functor.name},{depth})",
-    )
+    # chop((pos, args), depth) is (pos, args chopped at depth - 1): one chop per element
+    cut = {t: chop(t, depth - 1, bottom_term) for t in elements} if depth else {}
+
+    def table(pos, args):
+        return (pos, tuple(cut[t] for t in args)) if depth else bottom_term
+
+    return algebra(functor, elements, table, name=name or f"trunc({functor.name},{depth})")
 
 
 def term_coalgebra(functor: PolyFunctor, depth: int, bottom: Label | None = None,

@@ -37,6 +37,7 @@ from .core import (
     Map,
     STAR,
     UNIT,
+    _ordered_carrier,
     carrier,
     check_guard,
     hom_label,
@@ -130,6 +131,14 @@ class PolyFunctor:
         if pairs != expected:
             raise ValueError("zip maps must be declared for every pair of positions")
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: every apply_to_set probe hashes the functor
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.positions, self.fibers, self.zips))
+            self.__dict__["_hash"] = cached
+        return cached
+
     @property
     def _fiber_map(self) -> dict:
         cache = self.__dict__.get("_fiber_cache")
@@ -214,16 +223,16 @@ _APPLY_CACHE: dict = {}
 
 def apply_to_set(functor: PolyFunctor, x: Carrier, guard: int | None = None) -> Carrier:
     """The carrier of F(X): pairs (position, assignment) in canonical order."""
-    if guard is None and (functor, x) in _APPLY_CACHE:
-        return _APPLY_CACHE[(functor, x)]
+    if guard is None:
+        cached = _APPLY_CACHE.get((functor, x))
+        if cached is not None:
+            return cached
     total = sum(len(x) ** functor.arity(pos) if functor.arity(pos) else 1
                 for pos in functor.positions.carrier)
     check_guard(f"{functor.name} applied to a {len(x)}-element carrier", total, guard)
-    elements = []
-    for pos in functor.positions.carrier:
-        for args in itertools.product(x.elements, repeat=functor.arity(pos)):
-            elements.append(felement(pos, args))
-    result = carrier(elements)
+    result = _ordered_carrier(tuple(
+        (pos, args) for pos in functor.positions.carrier
+        for args in itertools.product(x.elements, repeat=functor.arity(pos))))
     if guard is None:
         if len(_APPLY_CACHE) > 4096:
             _APPLY_CACHE.clear()

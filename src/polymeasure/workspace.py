@@ -180,6 +180,14 @@ def _parse_labels(text: str, lineno: int) -> list[Label]:
     return [_parse_label(tok, lineno) for tok in text.split()]
 
 
+def _parse_carrier(text: str, lineno: int) -> Carrier:
+    labels = _parse_labels(text, lineno)
+    try:
+        return carrier(labels)
+    except ValueError as exc:
+        raise WorkspaceError(str(exc), lineno) from None
+
+
 def _parse_pairs(text: str, lineno: int) -> list[tuple[Label, Label]]:
     out = []
     for tok in text.split():
@@ -219,6 +227,15 @@ def _require_maybe(builtin: str, functor: PolyFunctor, lineno: int) -> None:
             f"not for {functor.name!r}", lineno)
 
 
+def _tree_builtin(build, functor: PolyFunctor, parts: list[str], lineno: int):
+    """tree_alg/tree_coalg N, which need a nullary position nil."""
+    depth = _builtin_count(parts, lineno)
+    try:
+        return build(functor, depth)
+    except ValueError as exc:
+        raise WorkspaceError(f"builtin {parts[0]!r}: {exc}", lineno) from None
+
+
 def _build_functor(name: str, entries: dict, lineno: int, ws: Workspace) -> PolyFunctor:
     def get(key, default=None):
         return entries[key][0] if key in entries else default
@@ -246,7 +263,7 @@ def _build_functor(name: str, entries: dict, lineno: int, ws: Workspace) -> Poly
             arity = _parse_count(*entries.get("arity", ("2", lineno)))
             return bounded_tree_functor(builtin_monoid(), arity, name)
         if kind == "automaton":
-            alphabet = carrier(_parse_labels(get("alphabet", "a"), lineno))
+            alphabet = _parse_carrier(*entries.get("alphabet", ("a", lineno)))
             return automaton_functor(alphabet, name)
         if kind == "compose" and len(parts) == 3:
             return compose_functors(ws.functor(parts[1]), ws.functor(parts[2]), name)
@@ -269,7 +286,7 @@ def _build_functor(name: str, entries: dict, lineno: int, ws: Workspace) -> Poly
         key = f"fiber {label_text(pos)}"
         if key not in entries:
             raise WorkspaceError(f"missing '{key}' for functor {name!r}", lineno)
-        fibers[pos] = carrier(_parse_labels(*entries[key]))
+        fibers[pos] = _parse_carrier(*entries[key])
     zip_tables = {}
     for c in positions:
         for d in positions:
@@ -311,7 +328,7 @@ def _build_algebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Alge
         if parts[0] == "list_alg":
             return list_alg(functor, _builtin_count(parts, lineno))
         if parts[0] == "tree_alg":
-            return tree_alg(functor, _builtin_count(parts, lineno))
+            return _tree_builtin(tree_alg, functor, parts, lineno)
         raise WorkspaceError(f"unknown builtin algebra {builtin!r}", lineno)
     owner = f"algebra {name!r}"
     elements = _parse_labels(*_entry(entries, "carrier", owner, lineno))
@@ -336,7 +353,7 @@ def _build_coalgebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Co
         if parts[0] == "list_coalg":
             return list_coalg(functor, _builtin_count(parts, lineno))
         if parts[0] == "tree_coalg":
-            return tree_coalg(functor, _builtin_count(parts, lineno))
+            return _tree_builtin(tree_coalg, functor, parts, lineno)
         if parts[0] == "nat_automaton":
             _require_maybe(parts[0], functor, lineno)
             return nat_automaton(_builtin_count(parts, lineno))
@@ -383,7 +400,7 @@ def parse_workspace(text: str) -> Workspace:
             ws.functors[name] = _build_functor(name, entries, lineno, ws)
         elif kind == "carrier":
             elements = _entry(entries, "elements", f"carrier {name!r}", lineno)
-            ws.carriers[name] = carrier(_parse_labels(*elements))
+            ws.carriers[name] = _parse_carrier(*elements)
         elif kind == "algebra":
             ws.algebras[name] = _build_algebra(name, entries, lineno, ws)
             ws.algebra_functor[name] = entries.get("functor", ("?", 0))[0]

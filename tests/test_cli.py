@@ -182,6 +182,9 @@ MALFORMED = {
     "std_alg-on-list": LIST_Z2 + "[algebra A]\nfunctor = L\nbuiltin = std_alg 2\n",
     "std_coalg-on-list": LIST_Z2 + "[coalgebra C]\nfunctor = L\nbuiltin = std_coalg 2\n",
     "nat_automaton-on-list": LIST_Z2 + "[coalgebra C]\nfunctor = L\nbuiltin = nat_automaton 2\n",
+    "tree_alg-on-maybe": "[functor M]\nbuiltin = maybe\n[algebra A]\nfunctor = M\n"
+                         "builtin = tree_alg 2\n",
+    "duplicate-carrier-element": "[functor M]\nbuiltin = maybe\n[carrier X]\nelements = 1 1\n",
 }
 
 
@@ -201,6 +204,21 @@ def test_malformed_workspace_exits_2_without_traceback(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr and "(line " in proc.stderr
+
+
+def test_package_runs_as_a_module(capsys):
+    """``python -m polymeasure`` runs the CLI: a shipped header command exits 0
+    with the report that ``cli.run`` writes."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    args = [str(root / "workspaces" / "binary_tree.pmw"), "preinitial", "--algebra", "trees1"]
+    assert run(args) == 0
+    expected = capsys.readouterr().out
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "polymeasure", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected and expected
 
 
 class TestShippedWorkspaces:

@@ -1,8 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polymeasure.core import Map, STAR, UNIT, carrier, mk_hom, mk_product, map_from_hom_label
+from polymeasure.core import (
+    Map,
+    STAR,
+    UNIT,
+    Tag,
+    carrier,
+    map_from_hom_label,
+    mk_hom,
+    mk_product,
+)
 from polymeasure.functor import (
     apply_to_map,
     apply_to_set,
@@ -38,6 +48,54 @@ ALL_BUILTINS = [
 ]
 # the builtins plus one functor whose zips are not diagonal
 LAWFUL = ALL_BUILTINS + [twisted_functor()]
+
+
+# ---------------------------------------------------------------------------
+# F(X), S x T and [S, T] are built in canonical order without a re-sort
+# ---------------------------------------------------------------------------
+
+# positions mixing ints and strs, and composite positions that nest tuples
+ORDER_FUNCTORS = LAWFUL + [twisted_functor(grounded=True),
+                           compose_functors(twisted_functor(grounded=True), maybe_functor())]
+order_labels = st.recursive(
+    st.integers(-9, 9) | st.sampled_from(["a", "b", "nil", "Zero"]),
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.builds(Tag, st.sampled_from(["inl", "inr"]), inner),
+    max_leaves=4,
+)
+small_carriers = st.lists(order_labels, max_size=3, unique=True).map(carrier)
+
+
+def assert_canonical(built, elements):
+    """``built`` is the carrier that sorting ``elements`` gives."""
+    expected = carrier(reversed(elements))
+    assert built.elements == expected.elements
+    assert built == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(functor=st.sampled_from(ORDER_FUNCTORS), x=small_carriers)
+def test_apply_to_set_is_built_in_canonical_order(functor, x):
+    built = apply_to_set(functor, x, guard=10**4)  # a guard skips the cache
+    assert_canonical(built, [(pos, args) for pos in functor.positions.carrier
+                             for args in itertools.product(x.elements, repeat=functor.arity(pos))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s=small_carriers, t=small_carriers)
+def test_product_and_hom_are_built_in_canonical_order(s, t):
+    prod = mk_product(s, t)
+    assert_canonical(prod.carrier, [(a, b) for a in s for b in t])
+    assert prod.proj1.images == tuple(p[0] for p in prod.carrier)
+    assert_canonical(mk_hom(s, t), list(itertools.product(t.elements, repeat=len(s))))
+
+
+def test_equal_functors_share_the_apply_cache():
+    f, g = bintree_functor(z_mod(2)), bintree_functor(z_mod(2))
+    assert f is not g and f == g
+    assert hash(f) == hash(g) == hash((f.name, f.positions, f.fibers, f.zips))
+    x = carrier([0, 1])
+    assert apply_to_set(f, x) is apply_to_set(g, x)
 
 
 @pytest.mark.parametrize("functor", LAWFUL, ids=lambda f: f.name)
