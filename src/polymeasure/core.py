@@ -38,6 +38,7 @@ __all__ = [
     "set_default_guard",
     "guard_value",
     "check_guard",
+    "solve_tables",
     "carrier",
     "mk_product",
     "mk_coproduct",
@@ -163,6 +164,99 @@ def check_guard(what: str, size: int, guard: int | None = None) -> None:
     bound = guard_value(guard)
     if size > bound:
         raise SizeGuardError(what, size, bound)
+
+
+def solve_tables(n_cells: int, n_values: int, squares, beta, what: str,
+                 guard: int | None = None) -> Iterator[tuple]:
+    """Every table t of ``n_cells`` values in ``range(n_values)`` such that
+    ``t[target] == beta.get((tag, *t[sources]))`` for each square
+    ``(target, tag, sources)``, in lexicographic order.  A key missing from
+    ``beta`` fails the square.
+
+    Each square counts its unset distinct sources and fires when the last
+    one is set (at once when it has none), setting its target or checking
+    it.  When nothing fires, the search branches on the lowest unset cell
+    with its values in ascending order, and undoes each branch through a
+    trail.  Every square is functional in its target, so a fired value is
+    the only one any solution below can have, and the order stays
+    lexicographic.  The guard is charged one unit per branch tried and per
+    table yielded; past it, ``SizeGuardError`` names ``what``.
+    """
+    bound = guard_value(guard)
+    watchers: list = [[] for _ in range(n_cells)]  # per cell, the squares it is a source of
+    missing = []  # per square, its distinct sources not yet set
+    ready = []
+    for i, (_, _, sources) in enumerate(squares):
+        distinct = set(sources)
+        missing.append(len(distinct))
+        for x in distinct:
+            watchers[x].append(i)
+        if not distinct:
+            ready.append(i)
+    table: list = [None] * n_cells
+    trail: list = []
+    charged = 0
+
+    def charge() -> None:
+        nonlocal charged
+        charged += 1
+        if charged > bound:
+            raise SizeGuardError(what, charged, bound)
+
+    def assign(x: int, v: int, fire: list) -> None:
+        table[x] = v
+        trail.append(x)
+        for i in watchers[x]:
+            missing[i] -= 1
+            if not missing[i]:
+                fire.append(i)
+
+    def propagate(fire: list) -> bool:
+        for i in fire:  # fire grows while it is read
+            target, tag, sources = squares[i]
+            value = beta.get((tag, *[table[s] for s in sources]))
+            if value is None:
+                return False
+            if table[target] is None:
+                assign(target, value, fire)
+            elif table[target] != value:
+                return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x = trail.pop()
+            table[x] = None
+            for i in watchers[x]:
+                missing[i] += 1
+
+    if not propagate(ready):
+        return
+    branches: list = []  # [cell, next value, trail length before it] per open branch
+    x = 0
+    while True:
+        while x < n_cells and table[x] is not None:
+            x += 1
+        if x < n_cells:
+            branches.append([x, 0, len(trail)])
+        else:
+            charge()
+            yield tuple(table)
+        while branches:
+            branch = branches[-1]
+            x, v, mark = branch
+            undo(mark)
+            if v == n_values:
+                branches.pop()
+                continue
+            branch[1] = v + 1
+            charge()
+            fire: list = []
+            assign(x, v, fire)
+            if propagate(fire):
+                break
+        else:
+            return
 
 
 @dataclass(frozen=True)

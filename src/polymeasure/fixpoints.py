@@ -26,6 +26,7 @@ from .core import (
     classify_map,
     label_key,
     label_text,
+    solve_tables,
 )
 from .functor import (
     PolyFunctor,
@@ -65,7 +66,6 @@ __all__ = [
     "is_algebra_hom",
     "is_coalgebra_hom",
     "enumerate_algebra_homs",
-    "enumerate_coalgebra_homs",
     "unique_hom_from_preinitial",
     "enumerate_algebras",
     "enumerate_coalgebras",
@@ -334,37 +334,46 @@ def lambek_check(result: AdamekResult, hom_size: int = 3, guard: int | None = No
 # Preinitial / subterminal recognition
 # ---------------------------------------------------------------------------
 
+def _structure_cells(a: Algebra) -> list:
+    """Each F(A) cell as (position, argument ids, image id), in F(A)'s order;
+    an element's id is its index in A's carrier.
+
+    The argument ids are read off F(A)'s order (positions in turn, then the
+    product over the carrier, as ``apply_to_set`` builds it and
+    ``Algebra.__post_init__`` checks), so no argument label is hashed.
+    """
+    functor, n = a.functor, len(a.carrier)
+    index = a.carrier._index
+    cells = ((pos, ids) for pos in functor.positions.carrier
+             for ids in itertools.product(range(n), repeat=functor.arity(pos)))
+    return [(pos, ids, index[x]) for (pos, ids), x in zip(cells, a.structure.images)]
+
+
 def _released_cells(a: Algebra):
     """The F(A) cells whose arguments are all reachable, as (position,
     argument ids, image id) in the order a counter-driven pass releases
-    them; an element's id is its index in A's carrier.
+    them.
 
     Reachability is the least fixpoint of the Horn clauses "the arguments of
     a cell are reached => its image is reached", so one pass decides it in
     time linear in |F(A)| (Dowling and Gallier, 1984): each cell counts its
     distinct unreached arguments and is released when the count hits 0.
-    The argument ids are read off F(A)'s order (positions in turn, then the
-    product over the carrier), so no argument label is hashed.
     """
-    functor, n = a.functor, len(a.carrier)
-    index = a.carrier._index
-    alpha = [index[x] for x in a.structure.images]
-    cells = [(pos, ids) for pos in functor.positions.carrier
-             for ids in itertools.product(range(n), repeat=functor.arity(pos))]
+    cells = _structure_cells(a)
     missing = []  # per cell, its distinct arguments not yet reached
-    waiting: list = [[] for _ in range(n)]  # per element, the cells that wait for it
+    waiting: list = [[] for _ in a.carrier]  # per element, the cells that wait for it
     released = []
-    for i, (_, ids) in enumerate(cells):
+    for i, (_, ids, _) in enumerate(cells):
         distinct = set(ids)
         missing.append(len(distinct))
         for x in distinct:
             waiting[x].append(i)
         if not distinct:
             released.append(i)
-    reached = bytearray(n)
+    reached = bytearray(len(a.carrier))
     for i in released:  # released grows while it is read
-        k = alpha[i]
-        yield (*cells[i], k)
+        k = cells[i][2]
+        yield cells[i]
         if not reached[k]:
             reached[k] = 1
             for j in waiting[k]:
@@ -522,29 +531,14 @@ def is_coalgebra_hom(f: Map, c: Coalgebra, d: Coalgebra) -> bool:
 
 
 def enumerate_algebra_homs(a: Algebra, b: Algebra, guard: int | None = None) -> list[Map]:
-    count = len(b.carrier) ** len(a.carrier) if len(a.carrier) else 1
-    check_guard("algebra hom enumeration", count, guard)
-    if len(a.carrier) == 0:
-        return [Map(a.carrier, b.carrier, ())]
-    out = []
-    for images in itertools.product(b.carrier.elements, repeat=len(a.carrier)):
-        f = Map(a.carrier, b.carrier, images)
-        if is_algebra_hom(f, a, b):
-            out.append(f)
-    return out
-
-
-def enumerate_coalgebra_homs(c: Coalgebra, d: Coalgebra, guard: int | None = None) -> list[Map]:
-    count = len(d.carrier) ** len(c.carrier) if len(c.carrier) else 1
-    check_guard("coalgebra hom enumeration", count, guard)
-    if len(c.carrier) == 0:
-        return [Map(c.carrier, d.carrier, ())]
-    out = []
-    for images in itertools.product(d.carrier.elements, repeat=len(c.carrier)):
-        f = Map(c.carrier, d.carrier, images)
-        if is_coalgebra_hom(f, c, d):
-            out.append(f)
-    return out
+    """Every homomorphism a -> b, in lexicographic order of the images: one
+    square per F(A) cell, f(alpha(pos, args)) = beta(pos, f(args))."""
+    beta = {(pos, *ids): k for pos, ids, k in _structure_cells(b)}
+    squares = [(k, pos, ids) for pos, ids, k in _structure_cells(a)]
+    values = b.carrier.elements
+    return [Map(a.carrier, b.carrier, tuple(values[i] for i in t))
+            for t in solve_tables(len(a.carrier), len(values), squares, beta,
+                                  "algebra hom enumeration", guard)]
 
 
 def witness_terms(a: Algebra) -> dict:
@@ -749,7 +743,9 @@ def list_alg(functor: PolyFunctor, n: int) -> Algebra:
 def list_coalg(functor: PolyFunctor, n: int) -> Coalgebra:
     """The subterminal coalgebra of lists of length <= n (head/tail out-map)."""
     base = carrier(e for e in functor.positions.carrier if functor.arity(e) == 1)
-    zero = next(e for e in functor.positions.carrier if functor.arity(e) == 0)
+    zero = next((e for e in functor.positions.carrier if functor.arity(e) == 0), None)
+    if zero is None:
+        raise ValueError(f"list_coalg needs a nullary position; {functor.name} has none")
     return coalgebra(
         functor,
         _tuples_up_to(base, n),

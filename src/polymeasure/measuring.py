@@ -12,19 +12,23 @@ Three enumeration strategies are provided and must agree:
 
 * ``brute``       - filter every table (the oracle),
 * ``convolution`` - algebra homomorphisms A -> [C,B],
-* ``propagate``   - per-state admissible-function sets refined to the
-                    greatest fixed point, then consistent choices.
+* ``propagate``   - ``core.solve_tables`` on the (c, F(A)-cell) squares:
+                    each square fires once its cells on the right are set,
+                    and the search branches on the lowest cell left unset.
 
 ``forced_measuring`` additionally computes the unique candidate table for a
 preinitial A by demand; it is exact whenever the demand cannot loop (acyclic
 C, or values in a lazy initial algebra, where cyclic constraints have no
-solution).
+solution).  ``measuring_set`` takes it there and ``propagate`` elsewhere;
+on a preinitial A every cell fires from the nullary squares, so
+``propagate`` does not branch either.
 
 The square kernel
 -----------------
-``measuring_violations``, ``is_measuring``, ``forced_measuring`` and the
-forced branch of ``measuring_set`` all check squares through one kernel that
-works on integers.  A pair (C, A) is compiled once into a ``_SquarePlan``:
+``measuring_violations``, ``is_measuring``, ``forced_measuring``, the
+forced branch of ``measuring_set`` and the squares that ``propagate`` solves
+all come from one kernel that works on integers.  A pair (C, A) is compiled
+once into a ``_SquarePlan``:
 
 * each state's position id and child indices,
 * the F(A) cells in runs of one position, each run holding A's structure
@@ -38,7 +42,8 @@ works on integers.  A pair (C, A) is compiled once into a ``_SquarePlan``:
   demand runs into.  The order depends on C and A only.
 
 Memory is O(|C| + |A| + |F(A)| * arity + |positions|^2) plus the demand
-order's |C| * |A| ints; nothing is stored per (c, F(A)-cell) square.  The
+order's |C| * |A| ints; nothing is stored per (c, F(A)-cell) square
+(``propagate`` lists the squares afresh on each call).  The
 plan is cached on the algebra's ``__dict__`` (as ``Carrier`` caches its
 index) together with the coalgebra it was compiled against, and is reused
 while C is the same object; checking A against another coalgebra replaces
@@ -68,6 +73,7 @@ from .core import (
     label_key,
     label_text,
     mk_hom,
+    solve_tables,
 )
 from .functor import (
     PolyFunctor,
@@ -76,15 +82,14 @@ from .functor import (
     eta,
     fel_args,
     fel_pos,
-    has_maybe_shape,
     zip_plan,
 )
 from .fixpoints import (
     Algebra,
     Coalgebra,
     LazyAlgebra,
-    alg_apply,
     coalg_out,
+    _structure_cells,
     is_preinitial,
 )
 
@@ -170,20 +175,15 @@ class _SquarePlan:
         self.C, self.a_carrier, self.cells = C, A.carrier, A.structure.dom.elements
         self.positions = functor.positions.carrier.elements
         self.pos_id = pos_id = {p: i for i, p in enumerate(self.positions)}
-        c_index, a_index = C.carrier._index, A.carrier._index
+        c_index = C.carrier._index
         self.state_pos = [pos_id[fel_pos(e)] for e in C.structure.images]
         self.state_kids = [tuple(c_index[x] for x in fel_args(e)) for e in C.structure.images]
-        cells = self.cells
-        cell_pos = [pos_id[fel_pos(fe)] for fe in cells]
-        alpha = [a_index[x] for x in A.structure.images]
         self.runs = []  # (position id, first cell, alphas, argument columns)
         start = 0
-        for k in range(1, len(cells) + 1):
-            if k < len(cells) and cell_pos[k] == cell_pos[start]:
-                continue
-            args = [tuple(a_index[x] for x in fel_args(fe)) for fe in cells[start:k]]
-            self.runs.append((cell_pos[start], start, tuple(alpha[start:k]), tuple(zip(*args))))
-            start = k
+        for pos, run in itertools.groupby(_structure_cells(A), key=lambda cell: cell[0]):
+            _, args, alphas = zip(*run)
+            self.runs.append((pos_id[pos], start, alphas, tuple(zip(*args))))
+            start += len(alphas)
         self.zip_rows = [None] * len(self.positions)  # [p][q] -> (composite id, pairs)
         for p in set(self.state_pos):
             self.zip_rows[p] = [(pos_id[comp], pairs) for comp, pairs in
@@ -257,6 +257,19 @@ class _SquarePlan:
             kids = state_kids[c]
             rows[c][a] = beta[(comp, *[rows[kids[u]][args[v]] for u, v in pairs])]
         return rows
+
+    def squares(self) -> list:
+        """Every (c, F(A)-cell) square for ``core.solve_tables``: the cell
+        c * |A| + alpha(k) is beta at the composite position of the cells
+        (child of c, argument of k) that the zip plan pairs up."""
+        n_a, out = len(self.a_carrier), []
+        for c, kids in enumerate(self.state_kids):
+            zip_row = self.zip_rows[self.state_pos[c]]
+            for q, _, alphas, cols in self.runs:
+                comp, pairs = zip_row[q]
+                out.extend((c * n_a + a, comp, tuple(kids[u] * n_a + cols[v][i] for u, v in pairs))
+                           for i, a in enumerate(alphas))
+        return out
 
     def rows(self, ids) -> list:
         """A table of value ids in canonical (c, a) order, cut into rows."""
@@ -416,116 +429,43 @@ def measuring_from_conv_hom(f: Map, c_coalg: Coalgebra, a_alg: Algebra, b_alg) -
 # Enumeration strategies
 # ---------------------------------------------------------------------------
 
-def _enumerate_brute(C: Coalgebra, A: Algebra, B: Algebra, guard) -> list[Measuring]:
+def _measurings(C: Coalgebra, A: Algebra, B: Algebra, tables) -> list[Measuring]:
+    """Measurings from tables of B's value ids in canonical (c, a) order."""
     cells = [(c, a) for c in C.carrier for a in A.carrier]
-    count = len(B.carrier) ** len(cells) if cells else 1
+    values = B.carrier.elements
+    return [Measuring(C, A, B, tuple(zip(cells, (values[i] for i in ids)))) for ids in tables]
+
+
+def _enumerate_brute(C: Coalgebra, A: Algebra, B: Algebra, guard) -> list[Measuring]:
+    n_cells = len(C.carrier) * len(A.carrier)
     check_guard(
         "brute-force measuring enumeration (the propagate strategy still fits)",
-        count,
+        len(B.carrier) ** n_cells if n_cells else 1,
         guard,
     )
     plan = _square_plan(C, A)
     beta, _, values = _target(plan, B)
-    out = []
-    for ids in itertools.product(range(len(values)), repeat=len(cells)):
-        if not plan.scan(plan.rows(ids), beta, first_only=True):
-            out.append(Measuring(C, A, B, tuple(zip(cells, (values[i] for i in ids)))))
-    return out
+    tables = itertools.product(range(len(values)), repeat=n_cells)
+    return _measurings(C, A, B, (ids for ids in tables
+                                 if not plan.scan(plan.rows(ids), beta, first_only=True)))
 
 
 def _enumerate_convolution(C: Coalgebra, A: Algebra, B: Algebra, guard) -> list[Measuring]:
     from .universal import convolution_algebra
-
-    conv = convolution_algebra(C, B, guard=guard)
-    count = len(conv.carrier) ** len(A.carrier) if len(A.carrier) else 1
-    check_guard(
-        "convolution hom enumeration (the propagate strategy still fits)", count, guard
-    )
     from .fixpoints import enumerate_algebra_homs
 
-    out = []
-    for f in enumerate_algebra_homs(A, conv, guard=guard):
-        out.append(measuring_from_conv_hom(f, C, A, B))
-    return out
-
-
-def _solve_row(functor: PolyFunctor, C: Coalgebra, A: Algebra, B, c: Label, child_rows: tuple):
-    """The constraints the measuring square puts on the row at state c, given
-    the rows at its child states.  Returns a partial row (dict) or None on an
-    inconsistency."""
-    chi_c = C.structure(c)
-    cargs = fel_args(chi_c)
-    row: dict = {}
-    for fe, target in zip(A.structure.dom, A.structure.images):
-        composite, pairs = _nabla_element(functor, chi_c, fe)
-        value = alg_apply(B, composite,
-                          tuple(child_rows[cargs.index(cu)][av] for cu, av in pairs))
-        if target in row and row[target] != value:
-            return None
-        row[target] = value
-    return row
-
-
-def _row_completions(row: dict, A: Algebra, B: Algebra):
-    free = [a for a in A.carrier if a not in row]
-    for values in itertools.product(B.carrier.elements, repeat=len(free)):
-        full = dict(row)
-        full.update(zip(free, values))
-        yield tuple(full[a] for a in A.carrier)
+    conv = convolution_algebra(C, B, guard=guard)
+    return [measuring_from_conv_hom(f, C, A, B)
+            for f in enumerate_algebra_homs(A, conv, guard=guard)]
 
 
 def _enumerate_propagate(C: Coalgebra, A: Algebra, B: Algebra, guard) -> list[Measuring]:
-    """Greatest-fixpoint refinement of per-state admissible rows, then
-    read-off of globally consistent choices."""
-    functor = A.functor
-    states = C.carrier.elements
-    all_rows = None  # computed lazily; the full function space A -> B
-
-    def top():
-        nonlocal all_rows
-        if all_rows is None:
-            count = len(B.carrier) ** len(A.carrier) if len(A.carrier) else 1
-            check_guard("propagate admissible-set initialization", count, guard)
-            all_rows = set(itertools.product(B.carrier.elements, repeat=len(A.carrier)))
-        return set(all_rows)
-
-    admissible = {c: top() for c in states}
-
-    def refine_once() -> bool:
-        changed = False
-        for c in states:
-            _, cargs = coalg_out(C, c)
-            new: set = set()
-            for choice in itertools.product(
-                *(sorted(admissible[x], key=label_key) for x in cargs)
-            ):
-                child_rows = tuple(dict(zip(A.carrier.elements, g)) for g in choice)
-                row = _solve_row(functor, C, A, B, c, child_rows)
-                if row is None:
-                    continue
-                new.update(_row_completions(row, A, B))
-            new &= admissible[c]
-            if new != admissible[c]:
-                admissible[c] = new
-                changed = True
-        return changed
-
-    while refine_once():
-        pass
-
-    out = []
-    for choice in itertools.product(
-        *(sorted(admissible[c], key=label_key) for c in states)
-    ):
-        table = {
-            (c, a): choice[i][A.carrier.index(a)]
-            for i, c in enumerate(states)
-            for a in A.carrier
-        }
-        m = measuring_from_fn(C, A, B, lambda c, a: table[(c, a)])
-        if is_measuring(m):
-            out.append(m)
-    return out
+    """The square solver on the (c, F(A)-cell) squares of the plan."""
+    plan = _square_plan(C, A)
+    beta, _, values = _target(plan, B)
+    return _measurings(C, A, B, solve_tables(
+        len(C.carrier) * len(A.carrier), len(values), plan.squares(), beta,
+        "propagate measuring search", guard))
 
 
 STRATEGIES = ("brute", "convolution", "propagate")
@@ -614,79 +554,9 @@ def _forced(C: Coalgebra, A: Algebra, B, filler: Label | None = None) -> Measuri
     return Measuring(C, A, B, _entries(plan, rows, values))
 
 
-def _maybe_stage_rows(A: Algebra, B, max_stage: int):
-    """Stage rows f_0, f_1, ... for the 1 + X functor from a preinitial A.
-
-    Returns (rows, failed_at): rows[j] is the forced j-th row as a dict, and
-    failed_at is the first undefinable stage (None if all requested exist).
-    """
-    alpha = A.structure
-    zero_b = alg_apply(B, "Zero", ())
-    rows = [{a: zero_b for a in A.carrier}]
-    for j in range(1, max_stage + 1):
-        prev = rows[-1]
-        row: dict = {}
-        ok = True
-        for fe in alpha.dom:
-            target = alpha(fe)
-            if fel_pos(fe) == "Zero":
-                value = zero_b
-            else:
-                value = alg_apply(B, "Succ", (prev[fel_args(fe)[0]],))
-            if target in row and row[target] != value:
-                ok = False
-                break
-            row[target] = value
-        if not ok:
-            return rows, j
-        rows.append(row)
-    return rows, None
-
-
-def maybe_measuring_set(C: Coalgebra, A: Algebra, B) -> list[Measuring]:
-    """mu(C, A, B) for the 1 + X functor with A preinitial, via stage rows.
-
-    The row at a state of finite index j is the forced stage row f_j.  Every
-    row at an infinite-index state is the row of its child pushed through one
-    stage step, and |A| steps from any row give the same row on a preinitial
-    A, so those rows all equal the unique homomorphism A -> B, and there is
-    no measuring when that homomorphism does not exist.  (The stage rows from
-    f_0 need not reach it: on a cyclic A they can fail at some stage first.)
-    """
-    from .fixpoints import maybe_index, INF, unique_hom_from_preinitial
-
-    indices = {c: maybe_index(C, c) for c in C.carrier}
-    finite = [i for i in indices.values() if i is not INF]
-    max_finite = max(finite, default=-1)
-    need_inf = any(i is INF for i in indices.values())
-    rows, failed_at = _maybe_stage_rows(A, B, max_finite)
-    if failed_at is not None:
-        return []
-    inf_row = None
-    if need_inf:
-        hom = unique_hom_from_preinitial(A, B)
-        if hom is None:
-            return []
-        inf_row = hom.table
-    table = {}
-    for c in C.carrier:
-        row = inf_row if indices[c] is INF else rows[indices[c]]
-        for a in A.carrier:
-            table[(c, a)] = row[a]
-    m = measuring_from_fn(C, A, B, lambda c, a: table[(c, a)])
-    if not is_measuring(m):
-        return []
-    return [m]
-
-
 def measuring_set(C: Coalgebra, A: Algebra, B, guard: int | None = None) -> list[Measuring]:
     """mu(C, A, B) by the cheapest exact route available."""
-    if isinstance(B, LazyAlgebra):
-        result = forced_measuring(C, A, B)
-        return [result] if isinstance(result, Measuring) else []
-    if is_preinitial(A) and has_maybe_shape(A.functor):
-        return maybe_measuring_set(C, A, B)
-    if is_preinitial(A) and _is_acyclic(C):
+    if isinstance(B, LazyAlgebra) or (is_preinitial(A) and _is_acyclic(C)):
         result = forced_measuring(C, A, B)
         return [result] if isinstance(result, Measuring) else []
     return enumerate_measurings(C, A, B, "propagate", guard)
@@ -744,56 +614,27 @@ def coalgebra_measuring_check(table, C: Coalgebra, C1: Coalgebra, C2: Coalgebra)
 
 
 def find_coalgebra_homs(C: Coalgebra, D: Coalgebra, limit: int = 2) -> list[Map]:
-    """Up to ``limit`` coalgebra homomorphisms C -> D, by backtracking.
+    """The first ``limit`` coalgebra homomorphisms C -> D in lexicographic
+    order of the images.
 
-    Positions must match and children must map consistently, so the search
-    space collapses quickly; for a subterminal D there is at most one hom.
+    Each state s with chi(s) = (p, xs) gives one square that checks that
+    f(s) has position p and one per child setting f(xs[i]) to child i of
+    f(s), so the search space collapses quickly; for a subterminal D there
+    is at most one hom.
     """
-    states = C.carrier.elements
-    found: list[Map] = []
-
-    def extend(assign: dict, todo: list) -> None:
-        if len(found) >= limit:
-            return
-        todo = [t for t in todo if t not in assign]
-        if not todo:
-            found.append(Map.from_dict(C.carrier, D.carrier, assign))
-            return
-        s = todo[0]
-        pos, args = coalg_out(C, s)
-        for d in D.carrier:
-            dpos, dargs = coalg_out(D, d)
-            if dpos != pos:
-                continue
-            new_assign = dict(assign)
-            new_assign[s] = d
-            ok = True
-            queue = list(zip(args, dargs))
-            extra: list = []
-            while queue:
-                x, dx = queue.pop()
-                if x in new_assign:
-                    if new_assign[x] != dx:
-                        ok = False
-                        break
-                    continue
-                new_assign[x] = dx
-                xpos, xargs = coalg_out(C, x)
-                dxpos, dxargs = coalg_out(D, dx)
-                if xpos != dxpos:
-                    ok = False
-                    break
-                queue.extend(zip(xargs, dxargs))
-                extra.append(x)
-            if ok:
-                extend(new_assign, [t for t in todo[1:] if t not in new_assign])
-        return
-
-    extend({}, list(states))
-    unique = []
-    seen = set()
-    for f in found:
-        if f.images not in seen:
-            seen.add(f.images)
-            unique.append(f)
-    return unique[:limit]
+    d_index = D.carrier._index
+    beta = {}
+    for k, (q, ys) in enumerate(D.structure.images):
+        beta[(q, None), k] = k
+        for i, y in enumerate(ys):
+            beta[(q, i), k] = d_index[y]
+    c_index = C.carrier._index
+    squares = []
+    for s, (p, xs) in enumerate(C.structure.images):
+        squares.append((s, (p, None), (s,)))
+        squares.extend((c_index[x], (p, i), (s,)) for i, x in enumerate(xs))
+    tables = solve_tables(len(C.carrier), len(D.carrier), squares, beta,
+                          "coalgebra hom search")
+    values = D.carrier.elements
+    return [Map(C.carrier, D.carrier, tuple(values[i] for i in t))
+            for t in itertools.islice(tables, limit)]

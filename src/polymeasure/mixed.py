@@ -21,9 +21,8 @@ for every state c and every element ge of (G.F)(A).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from .core import Carrier, Label, Map, STAR, check_guard, mk_hom
+from .core import Carrier, Label, Map, STAR, mk_hom, solve_tables
 from .functor import (
     PolyFunctor,
     _nabla_element,
@@ -34,7 +33,7 @@ from .functor import (
     fel_pos,
     felement,
 )
-from .fixpoints import Algebra, Coalgebra, alg_apply
+from .fixpoints import Algebra, Coalgebra, _structure_cells, alg_apply
 
 __all__ = [
     "MixedSetup",
@@ -169,14 +168,20 @@ def mixed_convolution_algebra(setup: MixedSetup, C: Coalgebra, B: Algebra,
 
 def enumerate_mixed_measurings(setup: MixedSetup, C: Coalgebra, A: Algebra, B: Algebra,
                                guard: int | None = None) -> list[MixedMeasuring]:
-    """All mixed measurings, by filtering every table (sizes stay tiny)."""
+    """All mixed measurings in lexicographic order of their values: one
+    square per (c, ge), the cell (c, alpha(ge)) being beta of the cells that
+    ``module(chi(c), ge)`` lists."""
+    c_index, a_index = C.carrier._index, A.carrier._index
+    n_a = len(A.carrier)
+    squares = []
+    for c, chi_c in enumerate(C.structure.images):
+        for ge, a in zip(A.structure.dom, A.structure.images):
+            moved = setup.module(chi_c, ge)
+            squares.append((c * n_a + a_index[a], fel_pos(moved),
+                            tuple(c_index[x] * n_a + a_index[y] for x, y in fel_args(moved))))
+    beta = {(pos, *ids): k for pos, ids, k in _structure_cells(B)}
     cells = [(c, a) for c in C.carrier for a in A.carrier]
-    count = len(B.carrier) ** len(cells) if cells else 1
-    check_guard("mixed measuring enumeration", count, guard)
-    out = []
-    for values in itertools.product(B.carrier.elements, repeat=len(cells)):
-        m = MixedMeasuring(setup, C, A, B, tuple(zip(cells, values)))
-        ok, _ = mixed_measuring_check(m)
-        if ok:
-            out.append(m)
-    return out
+    values = B.carrier.elements
+    return [MixedMeasuring(setup, C, A, B, tuple(zip(cells, (values[i] for i in t))))
+            for t in solve_tables(len(cells), len(values), squares, beta,
+                                  "mixed measuring search", guard)]

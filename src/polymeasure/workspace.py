@@ -227,8 +227,9 @@ def _require_maybe(builtin: str, functor: PolyFunctor, lineno: int) -> None:
             f"not for {functor.name!r}", lineno)
 
 
-def _tree_builtin(build, functor: PolyFunctor, parts: list[str], lineno: int):
-    """tree_alg/tree_coalg N, which need a nullary position nil."""
+def _sized_builtin(build, functor: PolyFunctor, parts: list[str], lineno: int):
+    """list_alg/list_coalg/tree_alg/tree_coalg N, which reject a functor
+    they do not fit with a ValueError (tree_*: no nullary position nil)."""
     depth = _builtin_count(parts, lineno)
     try:
         return build(functor, depth)
@@ -326,9 +327,9 @@ def _build_algebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Alge
             _require_maybe(parts[0], functor, lineno)
             return std_alg(_builtin_count(parts, lineno))
         if parts[0] == "list_alg":
-            return list_alg(functor, _builtin_count(parts, lineno))
+            return _sized_builtin(list_alg, functor, parts, lineno)
         if parts[0] == "tree_alg":
-            return _tree_builtin(tree_alg, functor, parts, lineno)
+            return _sized_builtin(tree_alg, functor, parts, lineno)
         raise WorkspaceError(f"unknown builtin algebra {builtin!r}", lineno)
     owner = f"algebra {name!r}"
     elements = _parse_labels(*_entry(entries, "carrier", owner, lineno))
@@ -351,9 +352,9 @@ def _build_coalgebra(name: str, entries: dict, lineno: int, ws: Workspace) -> Co
             _require_maybe(parts[0], functor, lineno)
             return std_coalg(_builtin_count(parts, lineno))
         if parts[0] == "list_coalg":
-            return list_coalg(functor, _builtin_count(parts, lineno))
+            return _sized_builtin(list_coalg, functor, parts, lineno)
         if parts[0] == "tree_coalg":
-            return _tree_builtin(tree_coalg, functor, parts, lineno)
+            return _sized_builtin(tree_coalg, functor, parts, lineno)
         if parts[0] == "nat_automaton":
             _require_maybe(parts[0], functor, lineno)
             return nat_automaton(_builtin_count(parts, lineno))

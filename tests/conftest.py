@@ -3,7 +3,18 @@ import random
 import pytest
 
 from polymeasure.core import Carrier, Map, carrier, mk_product
-from polymeasure.functor import PolyFunctor, apply_to_set, monoid_from_op
+from polymeasure.functor import (
+    PolyFunctor,
+    apply_to_set,
+    automaton_functor,
+    const_monoid_functor,
+    identity_functor,
+    list_functor,
+    maybe_functor,
+    monoid_from_op,
+    unit_functor,
+    z_mod,
+)
 from polymeasure.fixpoints import Algebra, Coalgebra
 
 
@@ -27,6 +38,17 @@ def twisted_functor(grounded: bool = False) -> PolyFunctor:
             zips.append(((c, d), Map.from_callable(
                 fiber[positions.mul(c, d)], pairs, lambda w, c=c, d=d: (w ^ d, w ^ c))))
     return PolyFunctor("twisted+nil" if grounded else "twisted", positions, fibers, tuple(zips))
+
+
+SMALL_FUNCTORS = [
+    unit_functor(),
+    identity_functor(),
+    const_monoid_functor(z_mod(2)),
+    maybe_functor(),
+    list_functor(z_mod(2)),
+    automaton_functor(carrier(["a"])),
+    twisted_functor(),
+]
 
 
 def random_algebra(functor, size, rng: random.Random) -> Algebra:

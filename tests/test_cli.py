@@ -185,6 +185,10 @@ MALFORMED = {
     "tree_alg-on-maybe": "[functor M]\nbuiltin = maybe\n[algebra A]\nfunctor = M\n"
                          "builtin = tree_alg 2\n",
     "duplicate-carrier-element": "[functor M]\nbuiltin = maybe\n[carrier X]\nelements = 1 1\n",
+    "list_coalg-without-nullary": "[functor F]\nbuiltin = automaton\n[coalgebra C]\nfunctor = F\n"
+                                  "builtin = list_coalg 1\n",
+    "list_alg-on-bintree": "[functor T]\nbuiltin = bintree\n[algebra A]\nfunctor = T\n"
+                           "builtin = list_alg 1\n",
 }
 
 
